@@ -10,6 +10,7 @@ corresponding property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DimensionError, InvalidStatisticsError, PreconditionError
@@ -111,6 +112,8 @@ class WitnessVerdict:
 def _verdict(
     gbar: float, threshold: float, stderr: float | None, certified: str, sigma: float
 ) -> WitnessVerdict:
+    if not math.isfinite(gbar) or (stderr is not None and not math.isfinite(stderr)):
+        raise PreconditionError(f"a verdict needs a finite gbar and stderr, got {gbar}, {stderr}")
     margin = threshold - gbar
     sigmas = None
     if stderr is None:

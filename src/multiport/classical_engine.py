@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientSamplesError
+from .errors import DimensionError
 from .interferometer import as_complex_matrix
-from .report import (
-    CorrelationReport,
-    active_positions,
-    assemble_report,
-    batch_stderr,
-    gbar_from_sums,
-)
+from .report import CorrelationReport, assemble_report, batch_sizes, report_from_batches
 from .sources import ClassicalSource, OverlapMatrix, classical_moments
 
 
@@ -63,17 +57,48 @@ class ClassicalSetup:
         return self.transfer.shape[1]
 
 
-def _source_moments(setup: ClassicalSetup) -> tuple[np.ndarray, np.ndarray]:
-    moments = [classical_moments(s) for s in setup.sources]
-    m2 = np.array([m[0] for m in moments])
-    m4 = np.array([m[1] for m in moments])
-    return m2, m4
+def _pair_matrix(
+    transfer: np.ndarray,
+    w: np.ndarray,
+    f: np.ndarray,
+    energy_scale: float,
+    overlap: OverlapMatrix | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form means mu and pair products P[i, j] = <I_i I_j> for i != j.
+
+    One formula serves both engines; only the per-source weights differ.
+    ``w`` is the mean power (<|A_a|^2> or <n_a>) and ``f`` the fluctuation
+    weight (<|A_a|^4> - <|A_a|^2>^2 or var - <n_a>). With T' = |T|^2:
+
+        mu = E T' w
+        P  = mu mu^T + E^2 (|T diag(w) T^H|^2 - T' diag(w^2) T'^T + T' diag(f) T'^T)
+
+    The first bracket term is the two-source interference; with an overlap
+    matrix each source pair (a, b) is weighted by |V_ab|^2, contracted through
+    its eigendecomposition. The diagonal of P has no meaning.
+    """
+    t2 = np.abs(transfer) ** 2
+    means = energy_scale * (t2 @ w)
+    if overlap is None:
+        interference = np.abs((transfer * w) @ transfer.conj().T) ** 2
+    else:
+        lam, vecs = np.linalg.eigh(np.abs(overlap.matrix) ** 2)
+        g = (transfer[None] * (w * vecs.T)[:, None, :]) @ transfer.conj().T
+        interference = np.tensordot(lam, np.abs(g) ** 2, axes=1)
+    interference = interference - (t2 * w**2) @ t2.T
+    fluctuation = (t2 * f) @ t2.T
+    return means, np.outer(means, means) + energy_scale**2 * (interference + fluctuation)
+
+
+def _closed_form(setup: ClassicalSetup) -> tuple[np.ndarray, np.ndarray]:
+    moments = np.array([classical_moments(s) for s in setup.sources])
+    m2, m4 = moments[:, 0], moments[:, 1]
+    return _pair_matrix(setup.transfer, m2, m4 - m2**2, setup.energy_scale, setup.overlap)
 
 
 def classical_intensity_means(setup: ClassicalSetup) -> np.ndarray:
     """Mean intensity per detector: E * sum_a |T_ia|^2 <|A_a|^2>."""
-    m2, _ = _source_moments(setup)
-    return setup.energy_scale * (np.abs(setup.transfer) ** 2 @ m2)
+    return _closed_form(setup)[0]
 
 
 def classical_pair_correlator(setup: ClassicalSetup, i: int, j: int) -> float:
@@ -89,30 +114,13 @@ def classical_pair_correlator(setup: ClassicalSetup, i: int, j: int) -> float:
         raise DimensionError(f"detector indices ({i}, {j}) out of range for {m} outputs")
     if i == j:
         raise DimensionError("pair correlator needs two distinct detectors")
-    m2, m4 = _source_moments(setup)
-    t = setup.transfer
-    e = setup.energy_scale
-
-    means = classical_intensity_means(setup)
-    b = t[i] * t[j].conj() * m2
-    if setup.overlap is None:
-        interference = abs(b.sum()) ** 2 - (np.abs(b) ** 2).sum()
-    else:
-        w = np.abs(setup.overlap.matrix) ** 2
-        interference = float((b.conj() @ w @ b).real) - (np.abs(b) ** 2).sum()
-    fluctuation = float(np.abs(t[i]) ** 2 @ (np.abs(t[j]) ** 2 * (m4 - m2**2)))
-    return float(means[i] * means[j] + e**2 * (interference + fluctuation))
+    return float(_closed_form(setup)[1][i, j])
 
 
 def classical_gbar(setup: ClassicalSetup) -> CorrelationReport:
     """Closed-form normalized pair average over all active detectors."""
-    means = classical_intensity_means(setup)
-    return assemble_report(
-        detectors=range(setup.n_detectors),
-        means=means,
-        pair_product=lambda a, b: classical_pair_correlator(setup, a, b),
-        provenance="analytic",
-    )
+    means, products = _closed_form(setup)
+    return assemble_report(range(setup.n_detectors), means, products, "analytic")
 
 
 def _sample_amplitudes(
@@ -158,8 +166,6 @@ def mc_estimate_gbar(
     comes from the spread of the same statistic over equal shot batches.
     Results are reproducible bit-for-bit for a fixed (seed, shots, batches).
     """
-    if shots < 2:
-        raise InsufficientSamplesError("Monte Carlo estimation needs shots >= 2")
     m = setup.n_detectors
     modes = setup.overlap.mode_vectors() if setup.overlap is not None else None
 
@@ -168,34 +174,12 @@ def mc_estimate_gbar(
     phase_rng = np.random.Generator(np.random.Philox(phase_ss))
     pick_rng = np.random.Generator(np.random.Philox(pick_ss))
 
-    n_batches = min(batches, shots)
-    base, extra = divmod(shots, n_batches)
-    sizes = [base + 1 if b < extra else base for b in range(n_batches)]
-    sum_i = np.zeros((n_batches, m))
-    sum_prod = np.zeros((n_batches, m, m))
+    sizes = batch_sizes(shots, batches)
+    sum_i = np.zeros((sizes.size, m))
+    sum_prod = np.zeros((sizes.size, m, m))
     for b, size in enumerate(sizes):
         fields = _sample_amplitudes(setup, size, phase_rng, pick_rng)
         intensities = _intensities(setup, fields, modes)
         sum_i[b] = intensities.sum(axis=0)
         sum_prod[b] = intensities.T @ intensities
-
-    total_i = sum_i.sum(axis=0)
-    total_prod = sum_prod.sum(axis=0)
-    means = total_i / shots
-
-    active = active_positions(means)
-    pairs = [(a, b) for x, a in enumerate(active) for b in active[x + 1 :]]
-    if pairs:
-        per_batch = [
-            gbar_from_sums(sum_i[b], sum_prod[b], sizes[b], pairs) for b in range(n_batches)
-        ]
-        stderr = batch_stderr(per_batch)
-    else:
-        stderr = None
-    return assemble_report(
-        detectors=range(m),
-        means=means,
-        pair_product=lambda a, b: total_prod[a, b] / shots,
-        provenance="monte-carlo",
-        stderr=stderr,
-    )
+    return report_from_batches(sum_i, sum_prod, sizes, "monte-carlo")

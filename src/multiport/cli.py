@@ -10,7 +10,9 @@ same configuration and seed. Witness verdicts never affect the exit status.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,11 +32,7 @@ from .errors import (
     TruncationError,
     UndefinedEtaError,
 )
-from .ingestion import (
-    correlation_report_from_records,
-    estimate_gbar_from_records,
-    read_shot_records,
-)
+from .ingestion import GbarEstimate, correlation_report_from_records, read_shot_records
 from .interferometer import UnitaryMatrix, direct_sum, ftm, load_matrix, random_unitary
 from .optimizer import minimize_classical_gbar
 from .quantum_engine import (
@@ -44,7 +42,6 @@ from .quantum_engine import (
     oracle_gbar,
     quantum_gbar,
 )
-from .report import CorrelationReport
 from .sources import (
     OverlapMatrix,
     classical_moments,
@@ -79,6 +76,14 @@ MODES = (
     "divisibility",
     "ingest",
 )
+
+
+def _finite(token: str) -> float:
+    """Parse a config number, refusing NaN and infinities (also by overflow)."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {token!r} in config")
+    return value
 
 
 def _need(cfg: dict, key: str):
@@ -151,51 +156,35 @@ def _quantum_setup(cfg: dict) -> tuple[QuantumSetup, dict]:
     return setup, resolved
 
 
-def _classical_active_sources(setup: ClassicalSetup) -> int:
-    return sum(1 for s in setup.sources if classical_moments(s)[0] > 0)
-
-
-def _quantum_active_sources(setup: QuantumSetup) -> int:
-    return sum(1 for q in setup.stats if q.mean > 0)
-
-
-def _witness_block(rep: CorrelationReport, n_sources: int) -> tuple[dict, str]:
-    verdict = bounds.nonclassicality_witness(
-        rep.gbar, n_sources, len(rep.active_detectors), stderr=rep.stderr
-    )
-    block = verdict.to_dict()
-    block["n_sources"] = n_sources
-    block["n_detectors"] = len(rep.active_detectors)
-    return block, verdict.one_line()
-
-
-def _run_classical(cfg: dict, seed: int, mode: str) -> tuple[dict, list[str]]:
-    setup, resolved = _classical_setup(cfg)
+def _run_engine(cfg: dict, seed: int, mode: str) -> tuple[dict, list[str]]:
+    """classical-analytic, classical-mc, quantum and oracle: a report and its witness."""
+    if mode.startswith("classical"):
+        setup, resolved = _classical_setup(cfg)
+        powers = [classical_moments(s)[0] for s in setup.sources]
+    else:
+        setup, resolved = _quantum_setup(cfg)
+        powers = [q.mean for q in setup.stats]
     if mode == "classical-mc":
         shots = int(_need(cfg, "shots"))
         batches = int(cfg.get("batches", 100))
         resolved.update({"shots": shots, "seed": seed, "batches": batches})
         rep = mc_estimate_gbar(setup, shots, seed, batches=batches)
-    else:
-        rep = classical_gbar(setup)
-    witness, line = _witness_block(rep, _classical_active_sources(setup))
-    results = {"correlations": rep.to_dict(), "witness": witness}
-    summary = [f"gbar = {rep.gbar:.12g} ({rep.provenance})", line]
-    return {"config": resolved, "results": results}, summary
-
-
-def _run_quantum(cfg: dict, mode: str) -> tuple[dict, list[str]]:
-    setup, resolved = _quantum_setup(cfg)
-    if mode == "oracle":
+    elif mode == "oracle":
         photon_limit = int(cfg.get("photon_limit", DEFAULT_PHOTON_LIMIT))
         prune_tol = float(cfg.get("prune_tol", DEFAULT_PRUNE_TOL))
         resolved.update({"photon_limit": photon_limit, "prune_tol": prune_tol})
         rep = oracle_gbar(setup, photon_limit=photon_limit, prune_tol=prune_tol)
     else:
-        rep = quantum_gbar(setup)
-    witness, line = _witness_block(rep, _quantum_active_sources(setup))
+        rep = (classical_gbar if mode == "classical-analytic" else quantum_gbar)(setup)
+    n_sources = sum(1 for p in powers if p > 0)
+    n_detectors = len(rep.active_detectors)
+    verdict = bounds.nonclassicality_witness(rep.gbar, n_sources, n_detectors, stderr=rep.stderr)
+    if rep.pruned_mass:
+        # a pruned enumeration is biased by an amount no stderr measures
+        verdict = dataclasses.replace(verdict, classification=bounds.INCONCLUSIVE)
+    witness = {**verdict.to_dict(), "n_sources": n_sources, "n_detectors": n_detectors}
     results = {"correlations": rep.to_dict(), "witness": witness}
-    summary = [f"gbar = {rep.gbar:.12g} ({rep.provenance})", line]
+    summary = [f"gbar = {rep.gbar:.12g} ({rep.provenance})", verdict.one_line()]
     return {"config": resolved, "results": results}, summary
 
 
@@ -320,8 +309,8 @@ def _run_ingest(cfg: dict) -> tuple[dict, list[str]]:
     delimiter = cfg.get("delimiter")
     batches = int(cfg.get("batches", 100))
     records, rejected = read_shot_records(path, delimiter=delimiter)
-    estimate = estimate_gbar_from_records(records, batches=batches)
     full_report = correlation_report_from_records(records, batches=batches)
+    estimate = GbarEstimate.from_report(full_report, len(records))
     n_detectors = len(estimate.active_detectors)
     n_sources = cfg.get("n_sources")
     assumed = n_sources is None
@@ -361,10 +350,8 @@ def run(config: dict, seed_override: int | None = None, verbose: bool = False) -
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     seed = int(seed_override if seed_override is not None else config.get("seed", 0))
 
-    if mode in ("classical-analytic", "classical-mc"):
-        report, summary = _run_classical(config, seed, mode)
-    elif mode in ("quantum", "oracle"):
-        report, summary = _run_quantum(config, mode)
+    if mode in ("classical-analytic", "classical-mc", "quantum", "oracle"):
+        report, summary = _run_engine(config, seed, mode)
     elif mode == "divisibility":
         report, summary = _run_divisibility(config)
     elif mode == "bounds":
@@ -395,10 +382,11 @@ def main(argv=None) -> int:
     try:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
+                config = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         report, summary = run(config, seed_override=args.seed, verbose=args.verbose)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -412,14 +400,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     except (OSError, TypeError, ValueError) as exc:
-        # unreadable referenced files and malformed field values
+        # unreadable referenced files, malformed field values, and values
+        # that overflow to a non-finite number in the report
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+                fh.write(text)
         except OSError as exc:
             print(f"config error: cannot write {args.out!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG

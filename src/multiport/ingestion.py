@@ -13,14 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSetupError, InsufficientSamplesError, MatrixValidationError
-from .report import (
-    CorrelationReport,
-    active_positions,
-    assemble_report,
-    batch_stderr,
-    gbar_from_sums,
-)
+from .errors import InsufficientSamplesError, MatrixValidationError
+from .report import CorrelationReport, batch_sizes, report_from_batches
 
 MIN_RECORDS = 100
 DEFAULT_BATCHES = 100
@@ -56,6 +50,11 @@ class GbarEstimate:
     shots: int
     active_detectors: tuple[int, ...]
 
+    @classmethod
+    def from_report(cls, report: CorrelationReport, shots: int) -> GbarEstimate:
+        """The summary of a measured report built from ``shots`` records."""
+        return cls(report.gbar, report.stderr, shots, report.active_detectors)
+
     def to_dict(self) -> dict:
         return {
             "gbar": self.gbar,
@@ -65,60 +64,40 @@ class GbarEstimate:
         }
 
 
-def estimate_gbar_from_records(
-    records: Sequence[ShotRecord], batches: int = DEFAULT_BATCHES
-) -> GbarEstimate:
-    """Estimate the pair average and its standard error from shot records."""
-    if len(records) < MIN_RECORDS:
-        raise InsufficientSamplesError(
-            f"need at least {MIN_RECORDS} records, got {len(records)}"
-        )
-    widths = {r.intensities.size for r in records}
-    if len(widths) != 1:
-        raise MatrixValidationError("all records must cover the same detectors")
-    data = np.stack([r.intensities for r in records])
-    n_shots, n_det = data.shape
-
-    means = data.mean(axis=0)
-    active = active_positions(means)
-    if len(active) < 2:
-        raise DegenerateSetupError("fewer than two detectors received light")
-    pairs = [(a, b) for x, a in enumerate(active) for b in active[x + 1 :]]
-
-    total_i = data.sum(axis=0)
-    total_prod = data.T @ data
-    gbar = gbar_from_sums(total_i, total_prod, n_shots, pairs)
-
-    per_batch = []
-    for part in np.array_split(np.arange(n_shots), min(batches, n_shots)):
-        block = data[part]
-        per_batch.append(
-            gbar_from_sums(block.sum(axis=0), block.T @ block, len(part), pairs)
-        )
-    return GbarEstimate(
-        gbar=float(gbar),
-        stderr=batch_stderr(per_batch),
-        shots=n_shots,
-        active_detectors=tuple(active),
-    )
-
-
 def correlation_report_from_records(
     records: Sequence[ShotRecord], batches: int = DEFAULT_BATCHES
 ) -> CorrelationReport:
     """Full per-pair correlation report of measured shots (provenance 'measured')."""
-    estimate = estimate_gbar_from_records(records, batches=batches)
+    if len(records) < MIN_RECORDS:
+        raise InsufficientSamplesError(
+            f"need at least {MIN_RECORDS} records, got {len(records)}"
+        )
+    if len({r.intensities.size for r in records}) != 1:
+        raise MatrixValidationError("all records must cover the same detectors")
     data = np.stack([r.intensities for r in records])
-    n_shots = data.shape[0]
-    total_prod = data.T @ data
-    means = data.mean(axis=0)
-    return assemble_report(
-        detectors=range(data.shape[1]),
-        means=means,
-        pair_product=lambda a, b: total_prod[a, b] / n_shots,
-        provenance="measured",
-        stderr=estimate.stderr,
+    sizes = batch_sizes(len(data), batches)
+    blocks = np.split(data, np.cumsum(sizes)[:-1])
+    return report_from_batches(
+        np.array([block.sum(axis=0) for block in blocks]),
+        np.array([block.T @ block for block in blocks]),
+        sizes,
+        "measured",
     )
+
+
+def estimate_gbar_from_records(
+    records: Sequence[ShotRecord], batches: int = DEFAULT_BATCHES
+) -> GbarEstimate:
+    """Estimate the pair average and its standard error from shot records."""
+    report = correlation_report_from_records(records, batches=batches)
+    return GbarEstimate.from_report(report, len(records))
+
+
+def _number(field: str) -> float | None:
+    try:
+        return float(field)
+    except ValueError:
+        return None
 
 
 def read_shot_records(
@@ -126,8 +105,9 @@ def read_shot_records(
 ) -> tuple[list[ShotRecord], int]:
     """Parse delimiter-separated intensity records, one shot per line.
 
-    ``lines`` may be a path or an iterable of lines. An optional first line of
-    non-numeric labels is treated as a header and fixes the detector count.
+    ``lines`` may be a path or an iterable of lines. An optional first line
+    whose fields are all non-numeric labels is treated as a header and fixes
+    the detector count.
     Shots with a wrong column count or unparseable, negative, or non-finite
     values are rejected rather than imputed; the rejected count is returned
     alongside the accepted records.
@@ -147,15 +127,14 @@ def read_shot_records(
             continue
         if delimiter is None and "," in line:
             delimiter = ","
-        fields = line.split(delimiter)
-        try:
-            values = np.array([float(f) for f in fields])
-        except ValueError:
-            if n_columns is None:
+        fields = [_number(f) for f in line.split(delimiter)]
+        if None in fields:
+            if n_columns is None and all(f is None for f in fields):
                 n_columns = len(fields)  # header with detector labels
             else:
                 rejected += 1
             continue
+        values = np.array(fields)
         if n_columns is None:
             n_columns = values.size
         if (

@@ -30,7 +30,7 @@ def as_complex_matrix(entries, what: str = "matrix") -> np.ndarray:
     rows, cols = arr.shape
     if rows < 1 or cols < 1:
         raise DimensionError(f"{what} must have at least one row and one column")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.all(np.isfinite(arr)):
         raise MatrixValidationError(f"{what} contains NaN or Inf entries")
     arr.setflags(write=False)
     return arr

@@ -35,7 +35,7 @@ class PsiConfiguration:
         arr = np.array(self.vectors, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise DimensionError("configuration must be a non-empty 2-D array")
-        if not np.all(np.isfinite(arr.view(float))):
+        if not np.all(np.isfinite(arr)):
             raise MatrixValidationError("configuration contains non-finite entries")
         norms = np.linalg.norm(arr, axis=1)
         if np.max(np.abs(norms - 1.0)) > NORM_TOL:

@@ -7,7 +7,8 @@ output-mode annihilation operators to truncated Fock states.
 
 The closed form differs from the classical engine only by a term linear in
 the photon number, the fingerprint of number quantization; everything else
-maps onto the classical expressions with <n_a> in place of <|A_a|^2>.
+maps onto the classical expressions with <n_a> in place of <|A_a|^2>. Both
+engines therefore evaluate one kernel, weighted by <n_a> and var_a - <n_a>.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical_engine import _pair_matrix
 from .errors import DimensionError, OracleLimitError
 from .interferometer import UnitaryMatrix
 from .report import CorrelationReport, assemble_report
@@ -61,18 +63,16 @@ class QuantumSetup:
         return self.unitary.dim
 
 
-def _mode_moments(setup: QuantumSetup) -> tuple[np.ndarray, np.ndarray]:
-    means = np.array([q.mean for q in setup.stats])
-    variances = np.array([q.variance for q in setup.stats])
-    return means, variances
+def _closed_form(setup: QuantumSetup) -> tuple[np.ndarray, np.ndarray]:
+    nbar = np.array([q.mean for q in setup.stats])
+    var = np.array([q.variance for q in setup.stats])
+    rows = setup.unitary.matrix[list(setup.detectors)]
+    return _pair_matrix(rows, nbar, var - nbar, setup.energy_scale)
 
 
 def quantum_intensity_means(setup: QuantumSetup) -> np.ndarray:
     """Mean intensity per monitored detector: E * sum_a |U_ia|^2 <n_a>."""
-    nbar, _ = _mode_moments(setup)
-    u = setup.unitary.matrix
-    full = setup.energy_scale * (np.abs(u) ** 2 @ nbar)
-    return full[list(setup.detectors)]
+    return _closed_form(setup)[0]
 
 
 def quantum_pair_correlator(setup: QuantumSetup, i: int, j: int) -> float:
@@ -86,28 +86,14 @@ def quantum_pair_correlator(setup: QuantumSetup, i: int, j: int) -> float:
         raise DimensionError("pair correlator needs two distinct detectors")
     if i not in setup.detectors or j not in setup.detectors:
         raise DimensionError(f"detectors ({i}, {j}) are not monitored")
-    nbar, var = _mode_moments(setup)
-    u = setup.unitary.matrix
-    e = setup.energy_scale
-
-    mean_i = e * float(np.abs(u[i]) ** 2 @ nbar)
-    mean_j = e * float(np.abs(u[j]) ** 2 @ nbar)
-    b = u[i] * u[j].conj() * nbar
-    interference = abs(b.sum()) ** 2 - (np.abs(b) ** 2).sum()
-    number_term = float(np.abs(u[i]) ** 2 @ (np.abs(u[j]) ** 2 * (var - nbar)))
-    return float(mean_i * mean_j + e**2 * (interference + number_term))
+    pos = setup.detectors.index
+    return float(_closed_form(setup)[1][pos(i), pos(j)])
 
 
 def quantum_gbar(setup: QuantumSetup) -> CorrelationReport:
     """Closed-form normalized pair average over the active monitored detectors."""
-    means = quantum_intensity_means(setup)
-    det = setup.detectors
-    return assemble_report(
-        detectors=det,
-        means=means,
-        pair_product=lambda a, b: quantum_pair_correlator(setup, det[a], det[b]),
-        provenance="analytic",
-    )
+    means, products = _closed_form(setup)
+    return assemble_report(setup.detectors, means, products, "analytic")
 
 
 def _annihilate(states: dict[tuple, complex], row: np.ndarray) -> dict[tuple, complex]:
@@ -168,7 +154,9 @@ def _product_configurations(stats: tuple[PhotonStatistics, ...], prune_tol: floa
 
     Depth-first with prefix-probability pruning: once a prefix's probability
     drops below ``prune_tol`` every completion is below it too, so the whole
-    subtree is skipped. The skipped mass is 1 minus the yielded total.
+    subtree is skipped and yielded as (None, its probability). Summing those
+    keeps the pruned mass exactly zero when nothing is pruned, where 1 minus
+    the kept total would carry rounding.
     """
 
     def rec(prefix: tuple, prob: float):
@@ -178,6 +166,7 @@ def _product_configurations(stats: tuple[PhotonStatistics, ...], prune_tol: floa
         for n, p in enumerate(stats[len(prefix)].pmf):
             joint = prob * p
             if joint < prune_tol:
+                yield None, joint
                 continue
             yield from rec(prefix + (n,), joint)
 
@@ -200,9 +189,11 @@ def oracle_gbar(
     n_det = len(det)
     means = np.zeros(n_det)
     prods = np.zeros((n_det, n_det))
-    kept = 0.0
+    pruned = 0.0
     for occ, prob in _product_configurations(setup.stats, prune_tol):
-        kept += prob
+        if occ is None:
+            pruned += prob
+            continue
         if sum(occ) > photon_limit:
             raise OracleLimitError(
                 f"configuration {occ} exceeds the oracle budget of {photon_limit} photons;"
@@ -215,10 +206,4 @@ def oracle_gbar(
                 prods[a, b] += prob * fock_oracle_pair_correlator(
                     setup.unitary, occ, det[a], det[b], setup.energy_scale, photon_limit
                 )
-    return assemble_report(
-        detectors=det,
-        means=means,
-        pair_product=lambda a, b: prods[a, b],
-        provenance="oracle",
-        pruned_mass=1.0 - kept,
-    )
+    return assemble_report(det, means, prods, "oracle", pruned_mass=pruned)

@@ -3,18 +3,19 @@
 A report carries per-detector mean intensities, the normalized pair products
 <I_i I_j> / (<I_i> <I_j>) for every active detector pair, and their average.
 Detectors whose mean intensity is negligible relative to the brightest one
-are excluded so the ratios stay well defined.
+are excluded so the ratios stay well defined. Reports are built from arrays:
+the means and the matrix of pair products. Monte Carlo and measured records
+share one batch estimator, :func:`report_from_batches`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSetupError
+from .errors import DegenerateSetupError, InsufficientSamplesError
 
 # A detector is active when its mean exceeds this fraction of the brightest
 # detector's mean; relative so the criterion is independent of units.
@@ -76,44 +77,53 @@ class CorrelationReport:
         return "\n".join(lines) + "\n"
 
 
-def active_positions(means: np.ndarray) -> list[int]:
-    """Positions whose mean intensity exceeds the relative exclusion threshold."""
+def active_positions(means: np.ndarray) -> np.ndarray:
+    """Positions whose mean intensity exceeds the relative exclusion threshold.
+
+    Raises:
+        DegenerateSetupError: if fewer than two positions are active.
+    """
     top = float(np.max(means)) if means.size else 0.0
-    return [k for k, v in enumerate(means) if v > RELATIVE_EXCLUSION * top and top > 0]
+    active = np.flatnonzero(means > RELATIVE_EXCLUSION * top) if top > 0 else np.array([], int)
+    if active.size < 2:
+        raise DegenerateSetupError(
+            "fewer than two detectors receive light; the pair average needs >= 2"
+        )
+    return active
+
+
+def _pairs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.triu_indices(active.size, 1)
+    return active[a], active[b]
 
 
 def assemble_report(
     detectors: Sequence[int],
     means: np.ndarray,
-    pair_product: Callable[[int, int], float],
+    products: np.ndarray,
     provenance: str,
     stderr: float | None = None,
     pruned_mass: float | None = None,
 ) -> CorrelationReport:
     """Apply detector exclusion and average the normalized pair products.
 
-    ``pair_product(a, b)`` must return <I_a I_b> for positions a < b into
-    ``detectors``/``means``.
+    ``products[a, b]`` must hold <I_a I_b> for positions a < b into
+    ``detectors``/``means``; the diagonal and lower triangle are not read.
     """
-    active = active_positions(means)
-    if len(active) < 2:
-        raise DegenerateSetupError(
-            "fewer than two detectors receive light; the pair average needs >= 2"
-        )
-    ratios = []
-    for x, a in enumerate(active):
-        for b in active[x + 1 :]:
-            value = pair_product(a, b) / (means[a] * means[b])
-            ratios.append((detectors[a], detectors[b], float(value)))
-    gbar = sum(r for _, _, r in ratios) / len(ratios)
+    detectors = tuple(int(d) for d in detectors)
     means = np.array(means, dtype=float)
     means.setflags(write=False)
+    active = active_positions(means)
+    a, b = _pairs(active)
+    ratios = products[a, b] / (means[a] * means[b])
     return CorrelationReport(
-        detectors=tuple(detectors),
+        detectors=detectors,
         intensity_means=means,
-        active_detectors=tuple(detectors[a] for a in active),
-        pair_ratios=tuple(ratios),
-        gbar=gbar,
+        active_detectors=tuple(detectors[k] for k in active),
+        pair_ratios=tuple(
+            (detectors[i], detectors[j], float(r)) for i, j, r in zip(a, b, ratios)
+        ),
+        gbar=float(ratios.mean()),
         provenance=provenance,
         stderr=stderr,
         pruned_mass=pruned_mass,
@@ -121,22 +131,54 @@ def assemble_report(
 
 
 def gbar_from_sums(
-    sum_i: np.ndarray, sum_prod: np.ndarray, count: int, pairs: Sequence[tuple[int, int]]
-) -> float:
-    """Ratio-of-means pair average from accumulated sums over ``count`` shots.
+    sum_i: np.ndarray, sum_prod: np.ndarray, count: int | np.ndarray, active: np.ndarray
+) -> np.ndarray:
+    """Ratio-of-means pair average from sums accumulated over ``count`` shots.
 
-    ``sum_i[a]`` is the summed intensity at position a and ``sum_prod[a, b]``
-    the summed product; averages are taken before the ratio.
+    ``sum_i[..., a]`` is the summed intensity at position a and
+    ``sum_prod[..., a, b]`` the summed product; averages are taken before the
+    ratio. Leading axes (one per batch, say) broadcast against ``count``.
     """
-    total = 0.0
-    for a, b in pairs:
-        total += (sum_prod[a, b] / count) / ((sum_i[a] / count) * (sum_i[b] / count))
-    return total / len(pairs)
+    a, b = _pairs(active)
+    count = np.asarray(count)[..., None]
+    mean_i = sum_i / count
+    return (sum_prod[..., a, b] / count / (mean_i[..., a] * mean_i[..., b])).mean(axis=-1)
+
+
+def batch_sizes(shots: int, batches: int) -> np.ndarray:
+    """Sizes of ``min(batches, shots)`` contiguous batches, the first
+    ``shots % n`` one shot larger, as :func:`numpy.array_split` cuts them."""
+    n = min(batches, shots)
+    if n < 2:
+        raise InsufficientSamplesError(f"a batch-means stderr needs >= 2 batches, got {n}")
+    base, extra = divmod(shots, n)
+    return np.array([base + 1] * extra + [base] * (n - extra))
 
 
 def batch_stderr(values: Sequence[float]) -> float:
     """Standard error of the mean from per-batch statistic values."""
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
-        return math.nan
+        raise InsufficientSamplesError(f"a batch-means stderr needs >= 2 batches, got {arr.size}")
     return float(np.sqrt(arr.var(ddof=1) / arr.size))
+
+
+def report_from_batches(
+    sum_i: np.ndarray, sum_prod: np.ndarray, sizes: np.ndarray, provenance: str
+) -> CorrelationReport:
+    """Report of shots accumulated in batches, with a batch-means stderr.
+
+    Row b of ``sum_i`` (batches x M) and ``sum_prod`` (batches x M x M) sums
+    the intensities and intensity products of ``sizes[b]`` shots. Monte Carlo
+    and measured records share this estimator.
+    """
+    shots = sizes.sum()
+    means = sum_i.sum(axis=0) / shots
+    per_batch = gbar_from_sums(sum_i, sum_prod, sizes, active_positions(means))
+    return assemble_report(
+        range(means.size),
+        means,
+        sum_prod.sum(axis=0) / shots,
+        provenance,
+        stderr=batch_stderr(per_batch),
+    )

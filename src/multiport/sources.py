@@ -239,7 +239,7 @@ class OverlapMatrix:
         arr = np.array(self.matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MatrixValidationError("overlap matrix must be square")
-        if not np.all(np.isfinite(arr.view(float))):
+        if not np.all(np.isfinite(arr)):
             raise MatrixValidationError("overlap matrix contains non-finite entries")
         if np.max(np.abs(arr - arr.conj().T)) > _OVERLAP_TOL:
             raise MatrixValidationError("overlap matrix must be Hermitian")

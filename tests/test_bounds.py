@@ -166,3 +166,11 @@ def test_verdict_serialization_and_summary():
     assert data["classification"] == "nonclassical"
     assert data["margin"] == pytest.approx(0.1, abs=1e-15)
     assert "nonclassical" in verdict.one_line()
+
+
+@pytest.mark.parametrize("gbar, stderr", [(0.49, float("nan")), (float("nan"), 0.01), (0.1, float("inf")), (float("-inf"), None)])
+def test_non_finite_inputs_never_certify(gbar, stderr):
+    with pytest.raises(PreconditionError):
+        nonclassicality_witness(gbar, 2, 2, stderr=stderr)
+    with pytest.raises(PreconditionError):
+        divisibility_witness(gbar, 4, 1.0, stderr=stderr)

@@ -257,3 +257,15 @@ def test_mc_error_shrinks_as_root_shots():
 def test_mc_requires_two_shots():
     with pytest.raises(InsufficientSamplesError):
         mc_estimate_gbar(hom_setup(), shots=1, seed=0)
+
+
+def test_column_major_transfer_and_overlap_are_accepted():
+    sources = tuple(fixed_source(1.0) for _ in range(3))
+    overlap = OverlapMatrix(np.asfortranarray(np.eye(3)))
+    setup = ClassicalSetup(ftm(3).matrix.T, sources, overlap=overlap)
+    assert classical_gbar(setup).gbar == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mc_one_batch_has_no_stderr():
+    with pytest.raises(InsufficientSamplesError):
+        mc_estimate_gbar(hom_setup(), shots=1000, seed=0, batches=1)

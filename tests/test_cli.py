@@ -291,3 +291,72 @@ def test_vacuum_padding_for_unused_ports(tmp_path):
     assert len(report["config"]["sources"]) == 3
     assert report["config"]["sources"][2] == {"kind": "vacuum"}
     assert report["results"]["witness"]["n_sources"] == 2
+
+
+HOM_CLASSICAL_MC = {
+    "mode": "classical-mc",
+    "interferometer": {"ftm": 2},
+    "sources": [{"kind": "fixed", "amplitude": 1}, {"kind": "fixed", "amplitude": 1}],
+    "shots": 1000,
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize("mode", ["classical-mc", "ingest"])
+def test_one_batch_exits_engine_error(tmp_path, mode):
+    if mode == "ingest":
+        records = tmp_path / "shots.txt"
+        np.savetxt(records, np.random.default_rng(0).uniform(0, 1, (200, 2)))
+        payload = {"mode": "ingest", "records_file": str(records), "batches": 1}
+    else:
+        payload = dict(HOM_CLASSICAL_MC, batches=1)
+    code, report, out_path = run_cli(tmp_path, payload)
+    assert code == EXIT_ENGINE
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_config_numbers_exit_config_error(tmp_path, capsys, token):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"mode": "witness", "gbar": {token}, "n_sources": 2, "n_detectors": 2}}')
+    out_path = tmp_path / "report.json"
+    assert main(["--config", str(config), "--out", str(out_path)]) == EXIT_CONFIG
+    assert not out_path.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_report_is_never_written(tmp_path, monkeypatch):
+    import multiport.cli as cli
+
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: ({"gbar": float("nan")}, []))
+    code, report, out_path = run_cli(tmp_path, {"mode": "witness"})
+    assert code == EXIT_CONFIG
+    assert not out_path.exists()
+
+
+def test_pruned_oracle_enumeration_never_certifies(tmp_path):
+    # pruning biases gbar of coherent light to just below the bound 1/2
+    payload = {
+        "mode": "oracle",
+        "interferometer": {"ftm": 2},
+        "sources": [{"kind": "coherent", "mean": 1}, {"kind": "coherent", "mean": 1}],
+        "photon_limit": 80,
+    }
+    code, report, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_OK
+    assert report["results"]["correlations"]["pruned_mass"] > 0
+    assert report["results"]["witness"]["margin"] > 0
+    assert report["results"]["witness"]["classification"] == "inconclusive"
+
+
+@pytest.mark.parametrize(
+    "source",
+    [{"kind": "fock", "n": 1}, {"kind": "custom", "pmf": [0.2, 0.7, 0.1]}],
+)
+def test_exact_oracle_enumeration_still_certifies(tmp_path, source):
+    # nothing is pruned, so pruned_mass is exactly 0, not 1 - (kept total)
+    payload = dict(HOM_QUANTUM, mode="oracle", sources=[source, source])
+    code, report, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_OK
+    assert report["results"]["correlations"]["pruned_mass"] == 0.0
+    assert report["results"]["witness"]["classification"] == "nonclassical"

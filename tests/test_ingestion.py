@@ -6,6 +6,7 @@ from multiport import (
     InsufficientSamplesError,
     MatrixValidationError,
     ShotRecord,
+    correlation_report_from_records,
     estimate_gbar_from_records,
     ftm,
     nonclassicality_witness,
@@ -130,3 +131,26 @@ def test_reader_from_file(tmp_path):
     path.write_text("1.0 2.0\n3.0 4.0\n")
     records, rejected = read_shot_records(str(path))
     assert len(records) == 2 and rejected == 0
+
+
+def test_reader_counts_malformed_first_row_as_rejected():
+    records, rejected = read_shot_records(["1 x 2", "1 2 3", "4 5 6"])
+    assert len(records) == 2
+    assert rejected == 1
+    records, rejected = read_shot_records(["a b c", "1 2 3"])
+    assert len(records) == 1 and rejected == 0
+
+
+def test_estimate_is_a_projection_of_the_report():
+    records = records_from_matrix(synthesize_hom_shots(3000, seed=4))
+    report = correlation_report_from_records(records, batches=30)
+    estimate = estimate_gbar_from_records(records, batches=30)
+    assert (estimate.gbar, estimate.stderr) == (report.gbar, report.stderr)
+    assert estimate.active_detectors == report.active_detectors
+    assert estimate.shots == 3000
+
+
+def test_one_batch_has_no_stderr():
+    records = records_from_matrix(synthesize_hom_shots(500, seed=2))
+    with pytest.raises(InsufficientSamplesError):
+        correlation_report_from_records(records, batches=1)

@@ -140,3 +140,12 @@ def test_matrix_text_rejects_malformed():
         matrix_from_text("not a matrix")
     with pytest.raises(MatrixValidationError):
         matrix_from_text("")
+
+
+def test_column_major_matrices_are_accepted():
+    permuted = ftm(3).matrix[:, [2, 0, 1]]
+    assert np.array_equal(UnitaryMatrix(permuted).matrix, permuted)
+    transposed = np.asfortranarray(ftm(3).matrix)
+    assert np.array_equal(UnitaryMatrix(transposed).matrix, ftm(3).matrix)
+    with pytest.raises(MatrixValidationError):
+        UnitaryMatrix(np.asfortranarray([[np.nan, 0], [0, 1]]))

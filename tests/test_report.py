@@ -10,7 +10,8 @@ from multiport import (
     ftm,
     mc_estimate_gbar,
 )
-from multiport.report import CorrelationReport
+from multiport import InsufficientSamplesError
+from multiport.report import CorrelationReport, batch_stderr
 
 
 def sample_report():
@@ -69,3 +70,11 @@ def test_measured_report_from_records():
     assert report.stderr is not None
     assert abs(report.gbar - 0.5) <= 3 * report.stderr
     assert {(i, j) for i, j, _ in report.pair_ratios} == {(0, 1)}
+
+
+def test_batch_stderr_needs_two_batches():
+    with pytest.raises(InsufficientSamplesError):
+        batch_stderr([0.5])
+    with pytest.raises(InsufficientSamplesError):
+        batch_stderr([])
+    assert batch_stderr([0.4, 0.6]) == pytest.approx(0.1, abs=1e-15)
