@@ -61,7 +61,6 @@ def _pair_matrix(
     transfer: np.ndarray,
     w: np.ndarray,
     f: np.ndarray,
-    energy_scale: float,
     overlap: OverlapMatrix | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form means mu and pair products P[i, j] = <I_i I_j> for i != j.
@@ -70,15 +69,19 @@ def _pair_matrix(
     ``w`` is the mean power (<|A_a|^2> or <n_a>) and ``f`` the fluctuation
     weight (<|A_a|^4> - <|A_a|^2>^2 or var - <n_a>). With T' = |T|^2:
 
-        mu = E T' w
-        P  = mu mu^T + E^2 (|T diag(w) T^H|^2 - T' diag(w^2) T'^T + T' diag(f) T'^T)
+        mu = T' w
+        P  = mu mu^T + |T diag(w) T^H|^2 - T' diag(w^2) T'^T + T' diag(f) T'^T
+
+    Both are at unit energy scale: an energy scale E multiplies mu by E and P
+    by E^2 and cancels in every ratio, so callers apply it only where an
+    intensity is reported, and huge or tiny scales cannot overflow the ratios.
 
     The first bracket term is the two-source interference; with an overlap
     matrix each source pair (a, b) is weighted by |V_ab|^2, contracted through
     its eigendecomposition. The diagonal of P has no meaning.
     """
     t2 = np.abs(transfer) ** 2
-    means = energy_scale * (t2 @ w)
+    means = t2 @ w
     if overlap is None:
         interference = np.abs((transfer * w) @ transfer.conj().T) ** 2
     else:
@@ -87,18 +90,18 @@ def _pair_matrix(
         interference = np.tensordot(lam, np.abs(g) ** 2, axes=1)
     interference = interference - (t2 * w**2) @ t2.T
     fluctuation = (t2 * f) @ t2.T
-    return means, np.outer(means, means) + energy_scale**2 * (interference + fluctuation)
+    return means, np.outer(means, means) + (interference + fluctuation)
 
 
 def _closed_form(setup: ClassicalSetup) -> tuple[np.ndarray, np.ndarray]:
     moments = np.array([classical_moments(s) for s in setup.sources])
     m2, m4 = moments[:, 0], moments[:, 1]
-    return _pair_matrix(setup.transfer, m2, m4 - m2**2, setup.energy_scale, setup.overlap)
+    return _pair_matrix(setup.transfer, m2, m4 - m2**2, setup.overlap)
 
 
 def classical_intensity_means(setup: ClassicalSetup) -> np.ndarray:
     """Mean intensity per detector: E * sum_a |T_ia|^2 <|A_a|^2>."""
-    return _closed_form(setup)[0]
+    return setup.energy_scale * _closed_form(setup)[0]
 
 
 def classical_pair_correlator(setup: ClassicalSetup, i: int, j: int) -> float:
@@ -114,13 +117,16 @@ def classical_pair_correlator(setup: ClassicalSetup, i: int, j: int) -> float:
         raise DimensionError(f"detector indices ({i}, {j}) out of range for {m} outputs")
     if i == j:
         raise DimensionError("pair correlator needs two distinct detectors")
-    return float(_closed_form(setup)[1][i, j])
+    e = setup.energy_scale
+    return e * e * float(_closed_form(setup)[1][i, j])
 
 
 def classical_gbar(setup: ClassicalSetup) -> CorrelationReport:
     """Closed-form normalized pair average over all active detectors."""
     means, products = _closed_form(setup)
-    return assemble_report(range(setup.n_detectors), means, products, "analytic")
+    return assemble_report(
+        range(setup.n_detectors), means, products, "analytic", energy_scale=setup.energy_scale
+    )
 
 
 def _sample_amplitudes(
@@ -146,13 +152,13 @@ def _sample_amplitudes(
 
 
 def _intensities(setup: ClassicalSetup, fields: np.ndarray, modes: np.ndarray | None) -> np.ndarray:
+    """Detector intensities of each shot at unit energy scale."""
     if modes is None:
-        out = fields @ setup.transfer.T
-        return setup.energy_scale * (np.abs(out) ** 2)
+        return np.abs(fields @ setup.transfer.T) ** 2
     # per-source unit mode vectors: the detected field is a vector sum and the
     # intensity its squared norm, reproducing the |V_ab|^2 interference factor
     per_mode = np.einsum("ia,sak->sik", setup.transfer, fields[:, :, None] * modes[None])
-    return setup.energy_scale * (np.abs(per_mode) ** 2).sum(axis=2)
+    return (np.abs(per_mode) ** 2).sum(axis=2)
 
 
 def mc_estimate_gbar(
@@ -182,4 +188,4 @@ def mc_estimate_gbar(
         intensities = _intensities(setup, fields, modes)
         sum_i[b] = intensities.sum(axis=0)
         sum_prod[b] = intensities.T @ intensities
-    return report_from_batches(sum_i, sum_prod, sizes, "monte-carlo")
+    return report_from_batches(sum_i, sum_prod, sizes, "monte-carlo", setup.energy_scale)

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .ingestion import GbarEstimate, correlation_report_from_records, read_shot_records
 from .interferometer import UnitaryMatrix, direct_sum, ftm, load_matrix, random_unitary
-from .optimizer import minimize_classical_gbar
+from .optimizer import multistart_minimize
 from .quantum_engine import (
     DEFAULT_PHOTON_LIMIT,
     DEFAULT_PRUNE_TOL,
@@ -156,6 +156,11 @@ def _quantum_setup(cfg: dict) -> tuple[QuantumSetup, dict]:
     return setup, resolved
 
 
+def _withheld(verdict: bounds.WitnessVerdict) -> bounds.WitnessVerdict:
+    """The verdict made inconclusive, for estimates whose error no stderr bounds."""
+    return dataclasses.replace(verdict, classification=bounds.INCONCLUSIVE)
+
+
 def _run_engine(cfg: dict, seed: int, mode: str) -> tuple[dict, list[str]]:
     """classical-analytic, classical-mc, quantum and oracle: a report and its witness."""
     if mode.startswith("classical"):
@@ -179,9 +184,12 @@ def _run_engine(cfg: dict, seed: int, mode: str) -> tuple[dict, list[str]]:
     n_sources = sum(1 for p in powers if p > 0)
     n_detectors = len(rep.active_detectors)
     verdict = bounds.nonclassicality_witness(rep.gbar, n_sources, n_detectors, stderr=rep.stderr)
-    if rep.pruned_mass:
-        # a pruned enumeration is biased by an amount no stderr measures
-        verdict = dataclasses.replace(verdict, classification=bounds.INCONCLUSIVE)
+    # a pruned enumeration is biased by an amount no stderr measures, and a
+    # stderr from few batches is itself too uncertain for the sigma rule
+    if rep.pruned_mass or (
+        mode == "classical-mc" and min(batches, shots) < bounds.MIN_CERTIFY_BATCHES
+    ):
+        verdict = _withheld(verdict)
     witness = {**verdict.to_dict(), "n_sources": n_sources, "n_detectors": n_detectors}
     results = {"correlations": rep.to_dict(), "witness": witness}
     summary = [f"gbar = {rep.gbar:.12g} ({rep.provenance})", verdict.one_line()]
@@ -249,9 +257,8 @@ def _run_optimize(cfg: dict, seed: int, verbose: bool) -> tuple[dict, list[str]]
     n_detectors = int(_need(cfg, "n_detectors"))
     restarts = int(cfg.get("restarts", 20))
     trace = sys.stderr if verbose else None
-    value, config = minimize_classical_gbar(
-        n_sources, n_detectors, restarts=restarts, seed=seed, trace=trace
-    )
+    result = multistart_minimize(n_sources, n_detectors, restarts=restarts, seed=seed, trace=trace)
+    value = result.value
     closed_form = bounds.classical_min(n_sources, n_detectors)
     resolved = {
         "n_sources": n_sources,
@@ -263,11 +270,16 @@ def _run_optimize(cfg: dict, seed: int, verbose: bool) -> tuple[dict, list[str]]
         "minimum": value,
         "closed_form": closed_form,
         "gap": value - closed_form,
-        "argmin": [[[z.real, z.imag] for z in row] for row in config.vectors],
+        "argmin": [[[z.real, z.imag] for z in row] for row in result.argmin.vectors],
+        "best_restart": result.best_restart,
+        "iterations": list(result.iterations),
+        "gradient_norm": result.gradient_norm,
     }
     summary = [
         f"minimized gbar = {value:.12g}",
         f"closed form = {closed_form:.12g} (gap {value - closed_form:.3g})",
+        f"best restart {result.best_restart} of {restarts}, "
+        f"tangent gradient norm {result.gradient_norm:.3g}",
     ]
     return {"config": resolved, "results": results}, summary
 
@@ -320,6 +332,8 @@ def _run_ingest(cfg: dict) -> tuple[dict, list[str]]:
     verdict = bounds.nonclassicality_witness(
         estimate.gbar, n_sources, n_detectors, stderr=estimate.stderr
     )
+    if min(batches, len(records)) < bounds.MIN_CERTIFY_BATCHES:
+        verdict = _withheld(verdict)
     resolved = {
         "records_file": path,
         "delimiter": delimiter,

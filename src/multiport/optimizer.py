@@ -8,8 +8,9 @@ function of M unit vectors in C^N:
                                           - sum_a |psi_i(a) psi_j(a)|^2 ].
 
 This module evaluates f, its analytic gradient, runs a multistart projected
-gradient descent over the product of unit spheres, and checks the two frame
-inequalities that underpin the closed-form lower bound.
+gradient descent over the product of unit spheres, with all restarts moving
+together as one (R, M, N) stack, and checks the two frame inequalities that
+underpin the closed-form lower bound.
 """
 
 from __future__ import annotations
@@ -52,22 +53,28 @@ class PsiConfiguration:
         return self.vectors.shape[1]
 
 
-def _objective(p: np.ndarray) -> float:
-    m = p.shape[0]
-    gram = p.conj() @ p.T
+def _objective(p: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Pair average of each configuration in a stack ``p`` of shape (..., M, N).
+
+    ``pairs`` is ``np.triu_indices(M, 1)``, built once by the caller.
+    """
+    m = p.shape[-2]
+    i, j = pairs
+    gram = p.conj() @ p.swapaxes(-1, -2)
     weights = np.abs(p) ** 2
-    coord = weights @ weights.T
-    iu = np.triu_indices(m, 1)
-    return 1.0 + float((np.abs(gram[iu]) ** 2 - coord[iu]).sum()) / (m * (m - 1) / 2)
+    coord = weights @ weights.swapaxes(-1, -2)
+    return 1.0 + (np.abs(gram[..., i, j]) ** 2 - coord[..., i, j]).sum(axis=-1) / (m * (m - 1) / 2)
 
 
 def _gradient(p: np.ndarray) -> np.ndarray:
-    m = p.shape[0]
-    gram = p.conj() @ p.T
-    np.fill_diagonal(gram, 0.0)
+    """Euclidean gradient of :func:`_objective` for each configuration in a stack."""
+    m = p.shape[-2]
+    gram = p.conj() @ p.swapaxes(-1, -2)
+    diagonal = np.arange(m)
+    gram[..., diagonal, diagonal] = 0.0
     weights = np.abs(p) ** 2
     cross = gram.conj() @ p
-    other = weights.sum(axis=0) - weights
+    other = weights.sum(axis=-2, keepdims=True) - weights
     return (4.0 / (m * (m - 1))) * (cross - p * other)
 
 
@@ -87,7 +94,7 @@ def gbar_objective(config) -> float:
     vectors = _vectors_of(config)
     if vectors.shape[0] < 2:
         raise DimensionError("the pair average needs at least 2 vectors")
-    return _objective(vectors)
+    return float(_objective(vectors, np.triu_indices(vectors.shape[0], 1)))
 
 
 def gbar_gradient(config) -> np.ndarray:
@@ -125,42 +132,160 @@ def optimal_configuration(n_sources: int, n_detectors: int) -> PsiConfiguration:
     return PsiConfiguration(vectors)
 
 
+# Restarts descend together in blocks of at most this many, so memory stays
+# bounded whatever ``restarts`` is: a block holds a few (block, M, N) complex
+# stacks and a (block, STALL_WINDOW + 1) history.
+RESTART_BLOCK = 64
+# A restart stops once its value fell by less than STALL_TOL over its last
+# STALL_WINDOW accepted steps, or when no step above MIN_STEP improves it.
+STALL_WINDOW = 50
+STALL_TOL = 1e-12
+MIN_STEP = 1e-18
+
+
 def _normalized_rows(p: np.ndarray) -> np.ndarray:
-    return p / np.linalg.norm(p, axis=1, keepdims=True)
+    # the row norms as np.linalg.norm computes them, without its call overhead
+    return p / np.sqrt((p.conj() * p).real.sum(axis=-1, keepdims=True))
 
 
 def _descend(
-    p: np.ndarray,
-    max_iters: int,
-    trace: TextIO | None,
-    restart: int,
-    window: int = 50,
-    tol: float = 1e-12,
-) -> tuple[float, np.ndarray]:
-    """Projected gradient descent with renormalization and step halving."""
-    value = _objective(p)
-    lr = 0.5
-    history = [value]
-    for it in range(max_iters):
-        grad = _gradient(p)
-        improved = False
-        while lr > 1e-18:
-            trial = _normalized_rows(p - lr * grad)
-            trial_value = _objective(trial)
-            if trial_value < value:
-                improved = True
+    p: np.ndarray, max_iters: int, record: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+    """Projected gradient descent with renormalization and step halving.
+
+    Every configuration of the stack ``p`` (R, M, N) is one restart with its
+    own step size, which halves until a step improves the value and doubles
+    (up to 1) after each accepted step. All restarts still descending move
+    together; within one iteration only those still waiting for an improving
+    step are evaluated again. Returns the final values, the final points, the
+    number of accepted steps per restart and, when ``record`` is set, each
+    restart's accepted values in order.
+    """
+    r = p.shape[0]
+    pairs = np.triu_indices(p.shape[1], 1)
+    p = p.copy()
+    value = _objective(p, pairs)
+    lr = np.full(r, 0.5)
+    steps = np.zeros(r, dtype=int)
+    # the last STALL_WINDOW + 1 values of each restart; value k sits in slot k % width
+    width = STALL_WINDOW + 1
+    recent = np.empty((r, width))
+    recent[:, 0] = value
+    accepted: list[list[float]] = [[] for _ in range(r)]
+    active = np.arange(r)
+    for _ in range(max_iters):
+        if not active.size:
+            break
+        base = p[active]
+        grad = _gradient(base)
+        step = lr[active]
+        moved = np.zeros(active.size, dtype=bool)
+        waiting = np.arange(active.size)
+        while True:
+            waiting = waiting[step[waiting] > MIN_STEP]
+            if not waiting.size:
                 break
-            lr *= 0.5
-        if not improved:
-            break
-        p, value = trial, trial_value
-        lr = min(lr * 2.0, 1.0)
-        history.append(value)
+            trial = _normalized_rows(base[waiting] - step[waiting, None, None] * grad[waiting])
+            trial_value = _objective(trial, pairs)
+            better = trial_value < value[active[waiting]]
+            won = active[waiting[better]]
+            p[won], value[won] = trial[better], trial_value[better]
+            moved[waiting[better]] = True
+            waiting = waiting[~better]
+            step[waiting] *= 0.5
+        done = active[moved]
+        lr[done] = np.minimum(step[moved] * 2.0, 1.0)
+        steps[done] += 1
+        recent[done, steps[done] % width] = value[done]
+        if record:
+            for k in done:
+                accepted[k].append(value[k])
+        stalled = (steps[done] >= STALL_WINDOW) & (
+            recent[done, (steps[done] + 1) % width] - value[done] < STALL_TOL
+        )
+        active = done[~stalled]
+    return value, p, steps, accepted
+
+
+def _tangent_gradient_norm(p: np.ndarray) -> float:
+    """Norm of the gradient projected onto the tangent space of the spheres."""
+    grad = _gradient(p)
+    radial = (p.conj() * grad).real.sum(axis=-1, keepdims=True)
+    return float(np.linalg.norm(grad - radial * p))
+
+
+@dataclass(frozen=True, eq=False)
+class MultistartResult:
+    """Outcome of :func:`multistart_minimize` with its deterministic diagnostics.
+
+    ``restart_values`` and ``iterations`` hold each restart's final value and
+    number of accepted descent steps; ``gradient_norm`` is the norm of the
+    gradient at the argmin projected onto the tangent space of the spheres.
+    """
+
+    value: float
+    argmin: PsiConfiguration
+    best_restart: int
+    restart_values: tuple[float, ...]
+    iterations: tuple[int, ...]
+    gradient_norm: float
+
+
+def multistart_minimize(
+    n_sources: int,
+    n_detectors: int,
+    restarts: int = 20,
+    seed: int = 0,
+    max_iters: int = 2000,
+    trace: TextIO | None = None,
+) -> MultistartResult:
+    """Multistart minimization of the classical pair average, with diagnostics.
+
+    Restart k starts from the k-th child of ``SeedSequence(seed)``. Restarts
+    descend together in blocks of ``RESTART_BLOCK``. The restart with the
+    lowest final value wins, ties broken by the lower index. ``trace``
+    receives one ``restart<TAB>iteration<TAB>value`` line per accepted step,
+    restart-major.
+    """
+    if n_detectors < 2:
+        raise DimensionError("need at least 2 detectors")
+    if n_sources < 1 or restarts < 1:
+        raise DimensionError("need n_sources >= 1 and restarts >= 1")
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    values, iterations = [], []
+    best, best_point = 0, None
+    for first in range(0, restarts, RESTART_BLOCK):
+        starts = []
+        for child in children[first : first + RESTART_BLOCK]:
+            rng = np.random.default_rng(child)
+            starts.append(
+                _normalized_rows(
+                    rng.standard_normal((n_detectors, n_sources))
+                    + 1j * rng.standard_normal((n_detectors, n_sources))
+                )
+            )
+        value, p, steps, accepted = _descend(np.stack(starts), max_iters, trace is not None)
         if trace is not None:
-            trace.write(f"{restart}\t{it}\t{value:.17g}\n")
-        if len(history) > window and history[-window - 1] - value < tol:
-            break
-    return value, p
+            trace.write(
+                "".join(
+                    f"{first + k}\t{it}\t{v:.17g}\n"
+                    for k, history in enumerate(accepted)
+                    for it, v in enumerate(history)
+                )
+            )
+        k = int(np.argmin(value))
+        if best_point is None or value[k] < values[best]:
+            best, best_point = first + k, p[k]
+        values.extend(value.tolist())
+        iterations.extend(steps.tolist())
+    return MultistartResult(
+        value=values[best],
+        argmin=PsiConfiguration(best_point),
+        best_restart=best,
+        restart_values=tuple(values),
+        iterations=tuple(iterations),
+        gradient_norm=_tangent_gradient_norm(best_point),
+    )
 
 
 def minimize_classical_gbar(
@@ -174,24 +299,11 @@ def minimize_classical_gbar(
     """Multistart minimization of the classical pair average.
 
     Deterministic for a fixed seed; the restart with the lowest objective
-    wins, ties broken by restart index. Returns (best value, argmin).
+    wins, ties broken by restart index. Returns (best value, argmin); see
+    :func:`multistart_minimize` for the diagnostics.
     """
-    if n_detectors < 2:
-        raise DimensionError("need at least 2 detectors")
-    if n_sources < 1 or restarts < 1:
-        raise DimensionError("need n_sources >= 1 and restarts >= 1")
-    best_value = np.inf
-    best = None
-    for restart, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
-        rng = np.random.default_rng(child)
-        start = _normalized_rows(
-            rng.standard_normal((n_detectors, n_sources))
-            + 1j * rng.standard_normal((n_detectors, n_sources))
-        )
-        value, vectors = _descend(start, max_iters, trace, restart)
-        if value < best_value:
-            best_value, best = value, vectors
-    return best_value, PsiConfiguration(best)
+    result = multistart_minimize(n_sources, n_detectors, restarts, seed, max_iters, trace)
+    return result.value, result.argmin
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,12 @@ def _closed_form(setup: QuantumSetup) -> tuple[np.ndarray, np.ndarray]:
     nbar = np.array([q.mean for q in setup.stats])
     var = np.array([q.variance for q in setup.stats])
     rows = setup.unitary.matrix[list(setup.detectors)]
-    return _pair_matrix(rows, nbar, var - nbar, setup.energy_scale)
+    return _pair_matrix(rows, nbar, var - nbar)
 
 
 def quantum_intensity_means(setup: QuantumSetup) -> np.ndarray:
     """Mean intensity per monitored detector: E * sum_a |U_ia|^2 <n_a>."""
-    return _closed_form(setup)[0]
+    return setup.energy_scale * _closed_form(setup)[0]
 
 
 def quantum_pair_correlator(setup: QuantumSetup, i: int, j: int) -> float:
@@ -87,13 +87,16 @@ def quantum_pair_correlator(setup: QuantumSetup, i: int, j: int) -> float:
     if i not in setup.detectors or j not in setup.detectors:
         raise DimensionError(f"detectors ({i}, {j}) are not monitored")
     pos = setup.detectors.index
-    return float(_closed_form(setup)[1][pos(i), pos(j)])
+    e = setup.energy_scale
+    return e * e * float(_closed_form(setup)[1][pos(i), pos(j)])
 
 
 def quantum_gbar(setup: QuantumSetup) -> CorrelationReport:
     """Closed-form normalized pair average over the active monitored detectors."""
     means, products = _closed_form(setup)
-    return assemble_report(setup.detectors, means, products, "analytic")
+    return assemble_report(
+        setup.detectors, means, products, "analytic", energy_scale=setup.energy_scale
+    )
 
 
 def _annihilate(states: dict[tuple, complex], row: np.ndarray) -> dict[tuple, complex]:
@@ -142,11 +145,11 @@ def fock_oracle_pair_correlator(
         )
     u = unitary.matrix
     lowered = _annihilate(_annihilate({occ: 1.0 + 0j}, u[j]), u[i])
-    return energy_scale**2 * _norm_sq(lowered)
+    return energy_scale * energy_scale * _norm_sq(lowered)
 
 
-def _fock_intensity_mean(u: np.ndarray, occ: tuple, i: int, energy_scale: float) -> float:
-    return energy_scale * _norm_sq(_annihilate({occ: 1.0 + 0j}, u[i]))
+def _fock_intensity_mean(u: np.ndarray, occ: tuple, i: int) -> float:
+    return _norm_sq(_annihilate({occ: 1.0 + 0j}, u[i]))
 
 
 def _product_configurations(stats: tuple[PhotonStatistics, ...], prune_tol: float):
@@ -200,10 +203,12 @@ def oracle_gbar(
                 " raise photon_limit or lower the source cutoffs"
             )
         for a, d in enumerate(det):
-            means[a] += prob * _fock_intensity_mean(u, occ, d, setup.energy_scale)
+            means[a] += prob * _fock_intensity_mean(u, occ, d)
         for a in range(n_det):
             for b in range(a + 1, n_det):
                 prods[a, b] += prob * fock_oracle_pair_correlator(
-                    setup.unitary, occ, det[a], det[b], setup.energy_scale, photon_limit
+                    setup.unitary, occ, det[a], det[b], photon_limit=photon_limit
                 )
-    return assemble_report(det, means, prods, "oracle", pruned_mass=pruned)
+    return assemble_report(
+        det, means, prods, "oracle", pruned_mass=pruned, energy_scale=setup.energy_scale
+    )

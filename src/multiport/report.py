@@ -104,21 +104,25 @@ def assemble_report(
     provenance: str,
     stderr: float | None = None,
     pruned_mass: float | None = None,
+    energy_scale: float = 1.0,
 ) -> CorrelationReport:
     """Apply detector exclusion and average the normalized pair products.
 
     ``products[a, b]`` must hold <I_a I_b> for positions a < b into
     ``detectors``/``means``; the diagonal and lower triangle are not read.
+    Means and products are at unit energy scale, which the ratios do not
+    depend on; the report's intensity means are ``energy_scale * means``.
     """
     detectors = tuple(int(d) for d in detectors)
-    means = np.array(means, dtype=float)
-    means.setflags(write=False)
+    means = np.asarray(means, dtype=float)
     active = active_positions(means)
     a, b = _pairs(active)
     ratios = products[a, b] / (means[a] * means[b])
+    scaled = energy_scale * means
+    scaled.setflags(write=False)
     return CorrelationReport(
         detectors=detectors,
-        intensity_means=means,
+        intensity_means=scaled,
         active_detectors=tuple(detectors[k] for k in active),
         pair_ratios=tuple(
             (detectors[i], detectors[j], float(r)) for i, j, r in zip(a, b, ratios)
@@ -164,7 +168,11 @@ def batch_stderr(values: Sequence[float]) -> float:
 
 
 def report_from_batches(
-    sum_i: np.ndarray, sum_prod: np.ndarray, sizes: np.ndarray, provenance: str
+    sum_i: np.ndarray,
+    sum_prod: np.ndarray,
+    sizes: np.ndarray,
+    provenance: str,
+    energy_scale: float = 1.0,
 ) -> CorrelationReport:
     """Report of shots accumulated in batches, with a batch-means stderr.
 
@@ -181,4 +189,5 @@ def report_from_batches(
         sum_prod.sum(axis=0) / shots,
         provenance,
         stderr=batch_stderr(per_batch),
+        energy_scale=energy_scale,
     )

@@ -50,6 +50,21 @@ def test_means_scale_linearly_with_energy():
     )
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e160, 1e300])
+def test_ratios_do_not_depend_on_energy_scale(rng, scale):
+    # the scale multiplies only the reported means: closed form and Monte
+    # Carlo ratios are the same numbers as at unit scale, bit for bit
+    base = random_classical_setup(rng)
+    scaled = ClassicalSetup(base.transfer, base.sources, energy_scale=scale)
+    for run in (classical_gbar, lambda s: mc_estimate_gbar(s, 2000, seed=3)):
+        reference, report = run(base), run(scaled)
+        assert report.pair_ratios == reference.pair_ratios
+        assert report.gbar == reference.gbar and report.stderr == reference.stderr
+        assert np.array_equal(report.intensity_means, scale * reference.intensity_means)
+    e = scale
+    assert classical_pair_correlator(scaled, 0, 1) == e * e * classical_pair_correlator(base, 0, 1)
+
+
 # ----------------------------------------------------------- pair correlator
 
 

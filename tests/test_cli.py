@@ -360,3 +360,126 @@ def test_exact_oracle_enumeration_still_certifies(tmp_path, source):
     assert code == EXIT_OK
     assert report["results"]["correlations"]["pruned_mass"] == 0.0
     assert report["results"]["witness"]["classification"] == "nonclassical"
+
+
+def count_certified_at_bound(batches, seeds=1000, shots=300):
+    # classical HOM: gbar sits exactly at the bound 1/2, so every
+    # "nonclassical" verdict is false
+    from multiport.cli import run
+
+    payload = dict(HOM_CLASSICAL_MC, shots=shots, batches=batches)
+    return sum(
+        run(payload, seed_override=seed)[0]["results"]["witness"]["classification"]
+        == "nonclassical"
+        for seed in range(seeds)
+    )
+
+
+@pytest.mark.parametrize("batches", [3, 5])
+def test_few_batches_never_certify_at_the_bound(batches):
+    # the 3-sigma rule on these stderrs certified 51 and 16 of 1000 seeds
+    assert count_certified_at_bound(batches) == 0
+
+
+def test_many_batches_rarely_certify_at_the_bound():
+    assert count_certified_at_bound(100) <= 5
+
+
+def anticorrelated_records(tmp_path, shots):
+    # two detectors that take turns: gbar = 0.1 / 0.55^2 = 0.33, below 1/2;
+    # every batch of an even number of shots has that same ratio, so the
+    # stderr is 0 and only the batch count can withhold a certificate
+    data = np.full((shots, 2), 0.1)
+    data[::2, 0] = 1.0
+    data[1::2, 1] = 1.0
+    path = tmp_path / "shots.txt"
+    np.savetxt(path, data)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "batches,shots,expected",
+    [(5, 400, "inconclusive"), (10, 100, "inconclusive"), (20, 400, "nonclassical")],
+)
+def test_ingest_certifies_only_on_enough_batches(tmp_path, batches, shots, expected):
+    payload = {
+        "mode": "ingest",
+        "records_file": anticorrelated_records(tmp_path, shots),
+        "batches": batches,
+        "n_sources": 2,
+    }
+    code, report, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_OK
+    assert report["results"]["witness"]["classification"] == expected
+
+
+@pytest.mark.parametrize("shots,batches", [(10, 100), (19, 19)])
+def test_classical_mc_counts_effective_batches(tmp_path, shots, batches):
+    # batches of one shot each have a ratio of exactly 1 and a stderr of 0
+    payload = dict(HOM_CLASSICAL_MC, shots=shots, batches=batches)
+    for seed in range(20):
+        code, report, _ = run_cli(tmp_path, payload, extra=["--seed", str(seed)])
+        assert code == EXIT_OK
+        assert report["results"]["witness"]["stderr"] == 0.0
+        assert report["results"]["witness"]["classification"] == "inconclusive"
+
+
+@pytest.mark.parametrize("mode", ["classical-analytic", "classical-mc", "quantum", "oracle"])
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300, 1e-300])
+def test_extreme_energy_scale_exits_cleanly(tmp_path, mode, scale):
+    kind = {"kind": "fixed", "amplitude": 1} if mode.startswith("classical") else {"kind": "fock", "n": 1}
+    payload = {
+        "mode": mode,
+        "interferometer": {"ftm": 2},
+        "sources": [kind, kind],
+        "energy_scale": scale,
+        "shots": 1000,
+    }
+    code, _, out_path = run_cli(tmp_path, payload)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_ENGINE)
+    if out_path.exists():
+        report = json.loads(out_path.read_text(), parse_constant=pytest.fail)
+        assert report["results"]["correlations"]["gbar"] == pytest.approx(
+            0.5 if mode.startswith("classical") else 0.0, abs=0.1
+        )
+
+
+def test_overflowing_intensity_mean_exits_config_error(tmp_path):
+    # the means are 4 * 1e308, past the largest float
+    payload = {
+        "mode": "classical-analytic",
+        "interferometer": {"ftm": 2},
+        "sources": [{"kind": "fixed", "amplitude": 2}, {"kind": "fixed", "amplitude": 2}],
+        "energy_scale": 1e308,
+    }
+    code, _, out_path = run_cli(tmp_path, payload)
+    assert code == EXIT_CONFIG
+    assert not out_path.exists()
+
+
+def test_huge_energy_scale_keeps_scale_free_ratios(tmp_path):
+    payload = {
+        "mode": "classical-analytic",
+        "interferometer": {"ftm": 2},
+        "sources": [{"kind": "fixed", "amplitude": 1}, {"kind": "fixed", "amplitude": 1}],
+        "energy_scale": 1e160,
+    }
+    code, report, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_OK
+    correlations = report["results"]["correlations"]
+    assert correlations["gbar"] == 0.5
+    assert correlations["intensity_means"] == pytest.approx([1e160, 1e160], rel=1e-12)
+
+
+def test_optimize_reports_deterministic_diagnostics(tmp_path):
+    payload = {"mode": "optimize", "n_sources": 3, "n_detectors": 3, "restarts": 5, "seed": 4}
+    code, report, first = run_cli(tmp_path, payload, out="first.json")
+    assert code == EXIT_OK
+    code, _, second = run_cli(tmp_path, payload, out="second.json")
+    assert code == EXIT_OK
+    assert first.read_bytes() == second.read_bytes()
+    results = report["results"]
+    assert 0 <= results["best_restart"] < 5
+    assert len(results["iterations"]) == 5
+    assert all(isinstance(k, int) and 0 <= k <= 2000 for k in results["iterations"])
+    assert 0.0 <= results["gradient_norm"] < 1e-3

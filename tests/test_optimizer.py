@@ -2,8 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_psi_configuration
+
+import multiport.optimizer as optimizer
 
 from multiport import (
     DimensionError,
@@ -16,6 +19,7 @@ from multiport import (
     gbar_gradient,
     gbar_objective,
     minimize_classical_gbar,
+    multistart_minimize,
     optimal_configuration,
 )
 
@@ -150,6 +154,165 @@ def test_minimize_validation():
         minimize_classical_gbar(2, 1, restarts=1, seed=0)
     with pytest.raises(DimensionError):
         minimize_classical_gbar(0, 3, restarts=1, seed=0)
+
+
+# ----------------------------------------------------------- reference descent
+# The reference for the batched descent: one restart at a time on 2-D arrays,
+# with the kernels and the loop the batched code replaced. Only the returned
+# history is new.
+
+
+def reference_objective(p):
+    m = p.shape[0]
+    gram = p.conj() @ p.T
+    weights = np.abs(p) ** 2
+    coord = weights @ weights.T
+    iu = np.triu_indices(m, 1)
+    return 1.0 + float((np.abs(gram[iu]) ** 2 - coord[iu]).sum()) / (m * (m - 1) / 2)
+
+
+def reference_gradient(p):
+    m = p.shape[0]
+    gram = p.conj() @ p.T
+    np.fill_diagonal(gram, 0.0)
+    weights = np.abs(p) ** 2
+    cross = gram.conj() @ p
+    other = weights.sum(axis=0) - weights
+    return (4.0 / (m * (m - 1))) * (cross - p * other)
+
+
+def reference_normalized_rows(p):
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
+
+
+def reference_descend(p, max_iters, window=50, tol=1e-12):
+    """Returns the final value, the final point and every value on the way."""
+    value = reference_objective(p)
+    lr = 0.5
+    history = [value]
+    for it in range(max_iters):
+        grad = reference_gradient(p)
+        improved = False
+        while lr > 1e-18:
+            trial = reference_normalized_rows(p - lr * grad)
+            trial_value = reference_objective(trial)
+            if trial_value < value:
+                improved = True
+                break
+            lr *= 0.5
+        if not improved:
+            break
+        p, value = trial, trial_value
+        lr = min(lr * 2.0, 1.0)
+        history.append(value)
+        if len(history) > window and history[-window - 1] - value < tol:
+            break
+    return value, p, history
+
+
+def reference_runs(n, m, restarts, seed, max_iters=2000):
+    runs = []
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        start = reference_normalized_rows(
+            rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        )
+        runs.append(reference_descend(start, max_iters))
+    return runs
+
+
+def reference_restart_values(n, m, restarts, seed, max_iters=2000):
+    return np.array([value for value, _, _ in reference_runs(n, m, restarts, seed, max_iters)])
+
+
+def assert_matches_reference(n, m, restarts, seed, max_iters=2000):
+    result = multistart_minimize(n, m, restarts=restarts, seed=seed, max_iters=max_iters)
+    expected = reference_restart_values(n, m, restarts, seed, max_iters)
+    assert np.max(np.abs(np.array(result.restart_values) - expected)) <= 1e-12
+    assert abs(result.value - expected.min()) <= 1e-12
+    return result
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_batched_descent_matches_reference_on_bound_grid(seed):
+    # the grid of acceptance criterion 02: every restart ends where the
+    # per-restart loop ends, up to rounding on flat minima
+    for n in range(1, 7):
+        for m in range(2, 7):
+            assert_matches_reference(n, m, restarts=20, seed=seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(2, 4),
+    restarts=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    max_iters=st.sampled_from([0, 1, 10, 2000]),
+)
+def test_batched_descent_matches_reference_property(n, m, restarts, seed, max_iters):
+    result = assert_matches_reference(n, m, restarts, seed, max_iters)
+    assert check_frame_inequalities(result.argmin).holds
+    assert abs(gbar_objective(result.argmin) - result.value) <= 1e-12
+    assert result.value >= classical_min(n, m) - 1e-9
+
+
+@pytest.mark.parametrize("n,m,seed", [(4, 2, 1), (5, 2, 1), (2, 2, 2), (4, 3, 0)])
+def test_batched_steps_follow_reference_trajectory(n, m, seed):
+    # step by step, while each step still improves by far more than rounding;
+    # with two vectors a full step often overshoots, so these runs halve
+    # their step 6, 9 and 7 times before that point
+    stream = io.StringIO()
+    multistart_minimize(n, m, restarts=4, seed=seed, max_iters=300, trace=stream)
+    rows = np.array([line.split("\t") for line in stream.getvalue().splitlines()], dtype=float)
+    for restart, (_, _, history) in enumerate(reference_runs(n, m, 4, seed, 300)):
+        gains = -np.diff(history)
+        steep = int(np.argmax(gains <= 1e-12)) if np.any(gains <= 1e-12) else gains.size
+        assert steep >= 3
+        mine = rows[rows[:, 0] == restart, 2]
+        assert np.max(np.abs(mine[:steep] - np.array(history[1 : steep + 1]))) <= 1e-12
+
+
+def test_restart_blocks_do_not_change_results(monkeypatch):
+    whole = multistart_minimize(3, 4, restarts=7, seed=5)
+    monkeypatch.setattr(optimizer, "RESTART_BLOCK", 3)
+    stream = io.StringIO()
+    blocked = multistart_minimize(3, 4, restarts=7, seed=5, trace=stream)
+    assert np.max(np.abs(np.subtract(blocked.restart_values, whole.restart_values))) <= 1e-12
+    restarts = [int(line.split("\t")[0]) for line in stream.getvalue().splitlines()]
+    assert sorted(set(restarts)) == list(range(7))
+    assert restarts == sorted(restarts)
+
+
+def test_trace_is_restart_major_and_reproducible():
+    first, second = io.StringIO(), io.StringIO()
+    result = multistart_minimize(3, 3, restarts=6, seed=2, trace=first)
+    multistart_minimize(3, 3, restarts=6, seed=2, trace=second)
+    assert first.getvalue() == second.getvalue()
+    rows = [line.split("\t") for line in first.getvalue().splitlines()]
+    for restart, steps in enumerate(result.iterations):
+        mine = [row for row in rows if int(row[0]) == restart]
+        assert [int(row[1]) for row in mine] == list(range(steps))
+        if steps:
+            assert float(mine[-1][2]) == result.restart_values[restart]
+    assert [int(row[0]) for row in rows] == sorted(int(row[0]) for row in rows)
+
+
+def test_multistart_diagnostics():
+    result = multistart_minimize(4, 4, restarts=8, seed=3, max_iters=500)
+    assert len(result.restart_values) == len(result.iterations) == 8
+    assert all(0 <= k <= 500 for k in result.iterations)
+    assert result.value == result.restart_values[result.best_restart] == min(result.restart_values)
+    assert result.best_restart == result.restart_values.index(result.value)
+    assert 0.0 <= result.gradient_norm < 1e-3
+    value, config = minimize_classical_gbar(4, 4, restarts=8, seed=3, max_iters=500)
+    assert value == result.value
+    assert np.array_equal(config.vectors, result.argmin.vectors)
+
+
+def test_tangent_gradient_vanishes_at_saturating_vectors():
+    for m in (2, 3, 5):
+        assert optimizer._tangent_gradient_norm(optimal_configuration(m, m).vectors) <= 1e-12
 
 
 # ----------------------------------------------------------- saturating vectors

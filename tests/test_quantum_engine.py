@@ -251,3 +251,16 @@ def test_oracle_gbar_respects_budget():
     setup = QuantumSetup(ftm(2), (coherent(1.0, 30), coherent(1.0, 30)))
     with pytest.raises(OracleLimitError):
         oracle_gbar(setup, photon_limit=4)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e160, 1e300])
+def test_ratios_do_not_depend_on_energy_scale(scale):
+    u = random_unitary(3, 17)
+    stats = (fock(1), fock(2), fock(1))
+    base = QuantumSetup(u, stats)
+    scaled = QuantumSetup(u, stats, energy_scale=scale)
+    for run in (quantum_gbar, oracle_gbar):
+        reference, report = run(base), run(scaled)
+        assert report.pair_ratios == reference.pair_ratios
+        assert np.array_equal(report.intensity_means, scale * reference.intensity_means)
+    assert np.array_equal(quantum_intensity_means(scaled), scale * quantum_intensity_means(base))
