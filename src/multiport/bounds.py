@@ -118,7 +118,12 @@ class WitnessVerdict:
 
 
 def _verdict(
-    gbar: float, threshold: float, stderr: float | None, certified: str, sigma: float
+    gbar: float,
+    threshold: float,
+    stderr: float | None,
+    certified: str,
+    sigma: float,
+    batches: int | None,
 ) -> WitnessVerdict:
     if not math.isfinite(gbar) or (stderr is not None and not math.isfinite(stderr)):
         raise PreconditionError(f"a verdict needs a finite gbar and stderr, got {gbar}, {stderr}")
@@ -135,6 +140,9 @@ def _verdict(
             classification = certified
         else:
             classification = CLASSICAL_COMPATIBLE
+    # a stderr from few batches is itself too uncertain for the sigma rule
+    if batches is not None and batches < MIN_CERTIFY_BATCHES:
+        classification = INCONCLUSIVE
     return WitnessVerdict(
         gbar=gbar,
         threshold=threshold,
@@ -151,13 +159,17 @@ def nonclassicality_witness(
     n_detectors: int,
     stderr: float | None = None,
     sigma: float = SIGMA_RULE,
+    batches: int | None = None,
 ) -> WitnessVerdict:
     """Compare a pair average against the classical bound for (N, M).
 
     A value below the bound cannot be produced by independent stochastic
-    classical fields, whatever the linear evolution.
+    classical fields, whatever the linear evolution. ``batches`` is the
+    number of batches behind a batch-means ``stderr``; below
+    ``MIN_CERTIFY_BATCHES`` the verdict is inconclusive.
     """
-    return _verdict(gbar, classical_min(n_sources, n_detectors), stderr, NONCLASSICAL, sigma)
+    threshold = classical_min(n_sources, n_detectors)
+    return _verdict(gbar, threshold, stderr, NONCLASSICAL, sigma, batches)
 
 
 def divisibility_witness(
@@ -166,15 +178,18 @@ def divisibility_witness(
     eta: float,
     stderr: float | None = None,
     sigma: float = SIGMA_RULE,
+    batches: int | None = None,
 ) -> WitnessVerdict:
     """Compare a pair average against the two-block divisibility threshold.
 
     Stated for m identical inputs with eta >= 0 and all m outputs monitored;
     a value below the threshold certifies that the evolution cannot split
-    into two independent subblocks.
+    into two independent subblocks. ``batches`` acts as in
+    :func:`nonclassicality_witness`.
     """
     if eta < 0:
         raise PreconditionError(
             "the divisibility criterion is stated for sub-Poissonian inputs (eta >= 0)"
         )
-    return _verdict(gbar, divisibility_threshold(n_modes, eta), stderr, INDIVISIBLE, sigma)
+    threshold = divisibility_threshold(n_modes, eta)
+    return _verdict(gbar, threshold, stderr, INDIVISIBLE, sigma, batches)

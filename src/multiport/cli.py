@@ -183,12 +183,11 @@ def _run_engine(cfg: dict, seed: int, mode: str) -> tuple[dict, list[str]]:
         rep = (classical_gbar if mode == "classical-analytic" else quantum_gbar)(setup)
     n_sources = sum(1 for p in powers if p > 0)
     n_detectors = len(rep.active_detectors)
-    verdict = bounds.nonclassicality_witness(rep.gbar, n_sources, n_detectors, stderr=rep.stderr)
-    # a pruned enumeration is biased by an amount no stderr measures, and a
-    # stderr from few batches is itself too uncertain for the sigma rule
-    if rep.pruned_mass or (
-        mode == "classical-mc" and min(batches, shots) < bounds.MIN_CERTIFY_BATCHES
-    ):
+    verdict = bounds.nonclassicality_witness(
+        rep.gbar, n_sources, n_detectors, stderr=rep.stderr, batches=rep.batches
+    )
+    # a pruned enumeration is biased by an amount no stderr measures
+    if rep.pruned_mass:
         verdict = _withheld(verdict)
     witness = {**verdict.to_dict(), "n_sources": n_sources, "n_detectors": n_detectors}
     results = {"correlations": rep.to_dict(), "witness": witness}
@@ -330,10 +329,8 @@ def _run_ingest(cfg: dict) -> tuple[dict, list[str]]:
     # conservative) classical bound, so no false certification is possible
     n_sources = n_detectors if assumed else int(n_sources)
     verdict = bounds.nonclassicality_witness(
-        estimate.gbar, n_sources, n_detectors, stderr=estimate.stderr
+        estimate.gbar, n_sources, n_detectors, stderr=estimate.stderr, batches=full_report.batches
     )
-    if min(batches, len(records)) < bounds.MIN_CERTIFY_BATCHES:
-        verdict = _withheld(verdict)
     resolved = {
         "records_file": path,
         "delimiter": delimiter,

@@ -1,19 +1,16 @@
 """Quantum photon-statistics engine.
 
 Closed-form mean intensities and pair products for phase-averaged product
-input states evolving through an m x m unitary, plus an independent
-brute-force oracle that evaluates the same expectation values by applying
-output-mode annihilation operators to truncated Fock states.
-
-The closed form differs from the classical engine only by a term linear in
-the photon number, the fingerprint of number quantization; everything else
-maps onto the classical expressions with <n_a> in place of <|A_a|^2>. Both
-engines therefore evaluate one kernel, weighted by <n_a> and var_a - <n_a>.
+input states evolving through an m x m unitary. They differ from the classical
+ones only by a term linear in the photon number, the fingerprint of number
+quantization, so both engines evaluate one kernel, weighted by <n_a> and
+var_a - <n_a>. An independent brute-force oracle evaluates the same values from
+the Fock amplitudes of output-mode annihilation operators applied to whole
+blocks of truncated product configurations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,21 +96,24 @@ def quantum_gbar(setup: QuantumSetup) -> CorrelationReport:
     )
 
 
-def _annihilate(states: dict[tuple, complex], row: np.ndarray) -> dict[tuple, complex]:
-    """Apply sum_a row[a] * a_hat_a to a dict of Fock amplitudes."""
-    out: dict[tuple, complex] = {}
-    for occ, amp in states.items():
-        for a, coeff in enumerate(row):
-            n = occ[a]
-            if n == 0 or coeff == 0:
-                continue
-            lowered = occ[:a] + (n - 1,) + occ[a + 1 :]
-            out[lowered] = out.get(lowered, 0j) + amp * coeff * math.sqrt(n)
-    return out
+def _lowered_norms(occ: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms (K, D) of b_i|occ> and (K, D(D-1)/2) of b_i b_j|occ>, i < j.
 
-
-def _norm_sq(states: dict[tuple, complex]) -> float:
-    return float(sum(abs(a) ** 2 for a in states.values()))
+    ``occ`` is a (K, m) block of occupations, ``rows`` the (D, m) monitored
+    rows of U: b_i = sum_a U_ia a_a. With x_ia = U_ia sqrt(n_a), b_i|occ> has
+    amplitude x_ia on |occ - e_a>; b_i b_j|occ> has x_ja x_ib + x_jb x_ia on
+    |occ - e_a - e_b> for a < b, which both lowering orders reach, and
+    U_ia U_ja sqrt(n_a (n_a - 1)) on |occ - 2 e_a>.
+    """
+    n = occ.astype(float)
+    x = rows * np.sqrt(n)[:, None, :]
+    i, j = np.triu_indices(rows.shape[0], 1)
+    a, b = np.triu_indices(rows.shape[1], 1)
+    xi, xj = x[:, i], x[:, j]
+    apart = xj[..., a] * xi[..., b] + xj[..., b] * xi[..., a]
+    together = (rows[i] * rows[j]) * np.sqrt(n * (n - 1))[:, None, :]
+    amps = np.concatenate([apart, together], axis=-1)
+    return (x.conj() * x).real.sum(-1), (amps.conj() * amps).real.sum(-1)
 
 
 def fock_oracle_pair_correlator(
@@ -124,56 +124,56 @@ def fock_oracle_pair_correlator(
     energy_scale: float = 1.0,
     photon_limit: int = DEFAULT_PHOTON_LIMIT,
 ) -> float:
-    """Brute-force <I_i I_j> for a Fock input |n_1 ... n_m>.
-
-    Builds b_i b_j |occupation> by explicit annihilation-operator action and
-    returns E^2 times its squared norm (the normal-ordered expectation
-    value). Independent of the closed-form route: no moment algebra is used.
+    """Brute-force <I_i I_j> for a Fock input |n_1 ... n_m>: E^2 times the
+    squared norm of b_i b_j |occupation>, built amplitude by amplitude on the
+    lowered Fock states. Independent of the closed form: no moment algebra.
     """
     occ = tuple(int(n) for n in occupation)
     m = unitary.dim
-    if len(occ) != m:
-        raise DimensionError(f"occupation length {len(occ)} != {m} modes")
-    if any(n < 0 for n in occ):
-        raise DimensionError("occupation numbers must be >= 0")
+    if len(occ) != m or min(occ) < 0:
+        raise DimensionError(f"need {m} occupation numbers >= 0, got {occ}")
     if i == j or not (0 <= i < m and 0 <= j < m):
         raise DimensionError(f"need two distinct detectors in range, got ({i}, {j})")
-    total = sum(occ)
-    if total > photon_limit:
-        raise OracleLimitError(
-            f"{total} photons exceed the oracle budget of {photon_limit}"
-        )
-    u = unitary.matrix
-    lowered = _annihilate(_annihilate({occ: 1.0 + 0j}, u[j]), u[i])
-    return energy_scale * energy_scale * _norm_sq(lowered)
+    if sum(occ) > photon_limit:
+        raise OracleLimitError(f"{sum(occ)} photons exceed the oracle budget of {photon_limit}")
+    _, pair = _lowered_norms(np.array([occ]), unitary.matrix[[i, j]])
+    return energy_scale * energy_scale * float(pair[0, 0])
 
 
-def _fock_intensity_mean(u: np.ndarray, occ: tuple, i: int) -> float:
-    return _norm_sq(_annihilate({occ: 1.0 + 0j}, u[i]))
+# The oracle evaluates configurations in blocks whose amplitude array, complex
+# (rows, detector pairs, lowered states), fits in this many bytes; with the
+# kernel's temporaries a block takes a few times that, whatever the cutoffs.
+ORACLE_BLOCK_BYTES = 1 << 18
 
 
-def _product_configurations(stats: tuple[PhotonStatistics, ...], prune_tol: float):
-    """Yield (occupation, probability) over the product pmf.
-
-    Depth-first with prefix-probability pruning: once a prefix's probability
-    drops below ``prune_tol`` every completion is below it too, so the whole
-    subtree is skipped and yielded as (None, its probability). Summing those
-    keeps the pruned mass exactly zero when nothing is pruned, where 1 minus
-    the kept total would carry rounding.
+def _product_blocks(pmfs: list[np.ndarray], prune_tol: float, rows: int):
+    """Yield (occupations, probabilities, pruned mass) for blocks of at most
+    ``rows`` kept configurations of the product pmf, in lexicographic order,
+    and a last, empty block. Depth-first over chunks of prefixes, each
+    extended by one source as an array. A prefix below ``prune_tol`` bounds
+    its completions, so its subtree is skipped and its probability summed into
+    the pruned mass, which stays exactly zero when nothing is pruned.
     """
-
-    def rec(prefix: tuple, prob: float):
-        if len(prefix) == len(stats):
-            yield prefix, prob
-            return
-        for n, p in enumerate(stats[len(prefix)].pmf):
-            joint = prob * p
-            if joint < prune_tol:
-                yield None, joint
-                continue
-            yield from rec(prefix + (n,), joint)
-
-    yield from rec((), 1.0)
+    m, pruned = len(pmfs), 0.0
+    # a chunk of prefixes extends to at most ORACLE_BLOCK_BYTES of occupations
+    steps = [max(1, ORACLE_BLOCK_BYTES // (8 * m * p.size)) for p in pmfs[1:]] + [rows]
+    stack = [(np.empty((1, 0), int), np.ones(1))]
+    while stack:
+        occ, prob = stack.pop()
+        joint = prob[:, None] * pmfs[occ.shape[1]]
+        keep = joint >= prune_tol
+        pruned += float(joint[~keep].sum())
+        parent, n = np.nonzero(keep)
+        occ, prob = np.column_stack([occ[parent], n]), joint[parent, n]
+        step = steps[occ.shape[1] - 1]
+        chunks = [(occ[k : k + step], prob[k : k + step]) for k in range(0, n.size, step)]
+        if occ.shape[1] < m:
+            stack.extend(reversed(chunks))
+            continue
+        for chunk in chunks:
+            yield *chunk, pruned
+            pruned = 0.0
+    yield np.empty((0, m), int), np.empty(0), pruned
 
 
 def oracle_gbar(
@@ -184,31 +184,28 @@ def oracle_gbar(
     """Normalized pair average computed entirely through the Fock oracle.
 
     Averages the pure-state oracle values over the product photon-number
-    distribution, pruning negligible configurations; the pruned probability
-    mass is recorded on the report.
+    distribution a block at a time, checking each block against
+    ``photon_limit`` before computing its amplitudes. The report records the
+    kept configurations and the pruned probability mass.
     """
-    det = setup.detectors
-    u = setup.unitary.matrix
-    n_det = len(det)
-    means = np.zeros(n_det)
-    prods = np.zeros((n_det, n_det))
-    pruned = 0.0
-    for occ, prob in _product_configurations(setup.stats, prune_tol):
-        if occ is None:
-            pruned += prob
-            continue
-        if sum(occ) > photon_limit:
+    det, m = setup.detectors, setup.n_modes
+    rows = setup.unitary.matrix[list(det)]
+    upper = np.triu_indices(len(det), 1)
+    means, products, pruned, kept = np.zeros(len(det)), np.zeros((len(det),) * 2), 0.0, 0
+    block_rows = max(1, ORACLE_BLOCK_BYTES // (16 * upper[0].size * m * (m + 1) // 2))
+    for occ, probs, mass in _product_blocks([q.pmf for q in setup.stats], prune_tol, block_rows):
+        over = np.flatnonzero(occ.sum(axis=1) > photon_limit)
+        if over.size:
             raise OracleLimitError(
-                f"configuration {occ} exceeds the oracle budget of {photon_limit} photons;"
-                " raise photon_limit or lower the source cutoffs"
+                f"configuration {tuple(int(n) for n in occ[over[0]])} exceeds the oracle"
+                f" budget of {photon_limit} photons; raise photon_limit or lower the source cutoffs"
             )
-        for a, d in enumerate(det):
-            means[a] += prob * _fock_intensity_mean(u, occ, d)
-        for a in range(n_det):
-            for b in range(a + 1, n_det):
-                prods[a, b] += prob * fock_oracle_pair_correlator(
-                    setup.unitary, occ, det[a], det[b], photon_limit=photon_limit
-                )
+        block_means, block_pairs = _lowered_norms(occ, rows)
+        means += probs @ block_means
+        products[upper] += probs @ block_pairs
+        pruned += mass
+        kept += probs.size
+    e = setup.energy_scale
     return assemble_report(
-        det, means, prods, "oracle", pruned_mass=pruned, energy_scale=setup.energy_scale
+        det, means, products, "oracle", pruned_mass=pruned, configurations=kept, energy_scale=e
     )

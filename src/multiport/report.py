@@ -31,7 +31,10 @@ class CorrelationReport:
     ``detectors`` lists the monitored output indices (aligned with
     ``intensity_means``); ``active_detectors`` is the subset that survived
     exclusion, and ``pair_ratios`` holds (i, j, ratio) for active i < j.
-    ``gbar`` is the arithmetic mean of the ratios.
+    ``gbar`` is the arithmetic mean of the ratios. Deterministic
+    diagnostics: ``batches`` is the number of batches behind a batch-means
+    ``stderr``; the oracle records its kept product ``configurations`` and the
+    ``pruned_mass`` of the ones it skipped.
     """
 
     detectors: tuple[int, ...]
@@ -42,6 +45,8 @@ class CorrelationReport:
     provenance: str
     stderr: float | None = None
     pruned_mass: float | None = None
+    batches: int | None = None
+    configurations: int | None = None
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -63,8 +68,9 @@ class CorrelationReport:
         }
         if self.stderr is not None:
             out["stderr"] = self.stderr
-        if self.pruned_mass is not None:
-            out["pruned_mass"] = self.pruned_mass
+        for key in ("pruned_mass", "batches", "configurations"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
 
     def to_table(self) -> str:
@@ -105,6 +111,8 @@ def assemble_report(
     stderr: float | None = None,
     pruned_mass: float | None = None,
     energy_scale: float = 1.0,
+    batches: int | None = None,
+    configurations: int | None = None,
 ) -> CorrelationReport:
     """Apply detector exclusion and average the normalized pair products.
 
@@ -112,6 +120,7 @@ def assemble_report(
     ``detectors``/``means``; the diagonal and lower triangle are not read.
     Means and products are at unit energy scale, which the ratios do not
     depend on; the report's intensity means are ``energy_scale * means``.
+    ``stderr`` and the diagnostics pass to the report unchanged.
     """
     detectors = tuple(int(d) for d in detectors)
     means = np.asarray(means, dtype=float)
@@ -131,6 +140,8 @@ def assemble_report(
         provenance=provenance,
         stderr=stderr,
         pruned_mass=pruned_mass,
+        batches=batches,
+        configurations=configurations,
     )
 
 
@@ -177,8 +188,9 @@ def report_from_batches(
     """Report of shots accumulated in batches, with a batch-means stderr.
 
     Row b of ``sum_i`` (batches x M) and ``sum_prod`` (batches x M x M) sums
-    the intensities and intensity products of ``sizes[b]`` shots. Monte Carlo
-    and measured records share this estimator.
+    the intensities and intensity products of ``sizes[b]`` shots; the report
+    records the batch count. Monte Carlo and measured records share this
+    estimator.
     """
     shots = sizes.sum()
     means = sum_i.sum(axis=0) / shots
@@ -190,4 +202,5 @@ def report_from_batches(
         provenance,
         stderr=batch_stderr(per_batch),
         energy_scale=energy_scale,
+        batches=int(sizes.size),
     )

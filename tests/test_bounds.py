@@ -1,15 +1,20 @@
 import pytest
 
 from multiport import (
+    ClassicalSetup,
     DimensionError,
     InvalidStatisticsError,
     PreconditionError,
     classical_min,
     divisibility_threshold,
     divisibility_witness,
+    fixed_source,
+    ftm,
+    mc_estimate_gbar,
     nonclassicality_witness,
     symmetric_quantum_min,
 )
+from multiport.bounds import MIN_CERTIFY_BATCHES
 
 
 # ----------------------------------------------------------- classical bound
@@ -174,3 +179,38 @@ def test_non_finite_inputs_never_certify(gbar, stderr):
         nonclassicality_witness(gbar, 2, 2, stderr=stderr)
     with pytest.raises(PreconditionError):
         divisibility_witness(gbar, 4, 1.0, stderr=stderr)
+
+
+@pytest.mark.parametrize("batches", [None, MIN_CERTIFY_BATCHES])
+def test_enough_batches_certify(batches):
+    assert nonclassicality_witness(0.3, 2, 2, stderr=0.01, batches=batches).classification == (
+        "nonclassical"
+    )
+    assert divisibility_witness(0.5, 4, 1.0, stderr=0.01, batches=batches).classification == (
+        "indivisible-certified"
+    )
+
+
+@pytest.mark.parametrize("batches", [2, MIN_CERTIFY_BATCHES - 1])
+def test_few_batches_withhold_every_certificate(batches):
+    for stderr in (0.01, None):
+        verdict = nonclassicality_witness(0.3, 2, 2, stderr=stderr, batches=batches)
+        assert verdict.classification == "inconclusive"
+        assert verdict.margin == pytest.approx(0.2, abs=1e-15)
+        verdict = divisibility_witness(0.5, 4, 1.0, stderr=stderr, batches=batches)
+        assert verdict.classification == "inconclusive"
+
+
+@pytest.mark.parametrize("batches", [3, 5])
+def test_library_witness_never_certifies_few_batches_at_the_bound(batches):
+    # classical HOM sits exactly at the bound 1/2, so every certificate is
+    # false; without the batch count the 3-sigma rule certified 51 and 16 of
+    # 1000 seeds
+    hom = ClassicalSetup(ftm(2).matrix, (fixed_source(1.0), fixed_source(1.0)))
+    certified = 0
+    for seed in range(1000):
+        rep = mc_estimate_gbar(hom, 300, seed, batches=batches)
+        assert rep.batches == batches
+        verdict = nonclassicality_witness(rep.gbar, 2, 2, stderr=rep.stderr, batches=rep.batches)
+        certified += verdict.classification == "nonclassical"
+    assert certified == 0

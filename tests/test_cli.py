@@ -45,6 +45,23 @@ def test_reports_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_oracle_reports_are_byte_identical_with_their_diagnostics(tmp_path):
+    payload = dict(
+        HOM_QUANTUM,
+        mode="oracle",
+        sources=[{"kind": "coherent", "mean": 0.5, "cutoff": 10}, {"kind": "fock", "n": 1}],
+        photon_limit=20,
+        prune_tol=1e-6,
+    )
+    code, report, first = run_cli(tmp_path, payload, out="a.json")
+    assert code == EXIT_OK
+    _, _, second = run_cli(tmp_path, payload, out="b.json")
+    assert first.read_bytes() == second.read_bytes()
+    correlations = report["results"]["correlations"]
+    assert correlations["configurations"] > 0
+    assert correlations["pruned_mass"] > 0
+
+
 def test_classical_mc_deterministic_and_seed_override(tmp_path):
     payload = {
         "mode": "classical-mc",
@@ -422,6 +439,7 @@ def test_classical_mc_counts_effective_batches(tmp_path, shots, batches):
         assert code == EXIT_OK
         assert report["results"]["witness"]["stderr"] == 0.0
         assert report["results"]["witness"]["classification"] == "inconclusive"
+        assert report["results"]["correlations"]["batches"] == min(shots, batches)
 
 
 @pytest.mark.parametrize("mode", ["classical-analytic", "classical-mc", "quantum", "oracle"])

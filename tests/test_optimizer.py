@@ -355,3 +355,15 @@ def test_frame_inequalities_single_vector():
     assert report.trace == pytest.approx(1.0, abs=1e-12)
     assert report.purity == pytest.approx(1.0, abs=1e-12)
     assert report.rank_slack == pytest.approx(0.0, abs=1e-12)
+
+
+def test_ties_between_blocks_go_to_the_lower_restart(monkeypatch):
+    # every block's best value is exactly equal, so the first block must win
+    def flat_descend(p, max_iters, record):
+        return np.zeros(len(p)), p, np.zeros(len(p), dtype=int), [[] for _ in p]
+
+    monkeypatch.setattr(optimizer, "RESTART_BLOCK", 2)
+    monkeypatch.setattr(optimizer, "_descend", flat_descend)
+    result = multistart_minimize(2, 3, restarts=5, seed=1)
+    assert result.best_restart == 0
+    assert result.restart_values == (0.0,) * 5

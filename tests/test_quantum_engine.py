@@ -1,15 +1,21 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_quantum_setup_eta_nonpositive
+
+import multiport.quantum_engine as quantum_engine
 
 from multiport import (
     ClassicalSetup,
     DegenerateSetupError,
     DimensionError,
     OracleLimitError,
+    PhotonStatistics,
     QuantumSetup,
     UnitaryMatrix,
     classical_gbar,
@@ -27,8 +33,10 @@ from multiport import (
     quantum_intensity_means,
     quantum_pair_correlator,
     random_unitary,
+    squeezed_vacuum,
     thermal,
 )
+from multiport.report import assemble_report
 
 
 def hom_setup():
@@ -264,3 +272,224 @@ def test_ratios_do_not_depend_on_energy_scale(scale):
         assert report.pair_ratios == reference.pair_ratios
         assert np.array_equal(report.intensity_means, scale * reference.intensity_means)
     assert np.array_equal(quantum_intensity_means(scaled), scale * quantum_intensity_means(base))
+
+
+# ----------------------------------------------------------- reference oracle
+# The reference oracle: one configuration at a time, b_i b_j|occ> built as a
+# dict of Fock amplitudes. The batched kernel is checked against it.
+
+
+def annihilate(states: dict[tuple, complex], row: np.ndarray) -> dict[tuple, complex]:
+    """Apply sum_a row[a] * a_hat_a to a dict of Fock amplitudes."""
+    out: dict[tuple, complex] = {}
+    for occ, amp in states.items():
+        for a, coeff in enumerate(row):
+            n = occ[a]
+            if n == 0 or coeff == 0:
+                continue
+            lowered = occ[:a] + (n - 1,) + occ[a + 1 :]
+            out[lowered] = out.get(lowered, 0j) + amp * coeff * math.sqrt(n)
+    return out
+
+
+def norm_sq(states: dict[tuple, complex]) -> float:
+    return float(sum(abs(a) ** 2 for a in states.values()))
+
+
+def reference_mean(u, occ, i):
+    return norm_sq(annihilate({occ: 1.0 + 0j}, u[i]))
+
+
+def reference_pair(u, occ, i, j):
+    return norm_sq(annihilate(annihilate({occ: 1.0 + 0j}, u[j]), u[i]))
+
+
+def reference_configurations(stats, prune_tol):
+    """(occupation, probability) depth-first, (None, mass) per pruned subtree."""
+
+    def rec(prefix, prob):
+        if len(prefix) == len(stats):
+            yield prefix, prob
+            return
+        for n, p in enumerate(stats[len(prefix)].pmf):
+            joint = prob * p
+            if joint < prune_tol:
+                yield None, joint
+                continue
+            yield from rec(prefix + (n,), joint)
+
+    yield from rec((), 1.0)
+
+
+def reference_oracle(setup, photon_limit=6, prune_tol=1e-14):
+    det, u = setup.detectors, setup.unitary.matrix
+    means, prods = np.zeros(len(det)), np.zeros((len(det), len(det)))
+    pruned, kept = 0.0, 0
+    for occ, prob in reference_configurations(setup.stats, prune_tol):
+        if occ is None:
+            pruned += prob
+            continue
+        if sum(occ) > photon_limit:
+            raise OracleLimitError(f"configuration {occ} exceeds the oracle budget")
+        kept += 1
+        for a, d in enumerate(det):
+            means[a] += prob * reference_mean(u, occ, d)
+            for b in range(a + 1, len(det)):
+                prods[a, b] += prob * reference_pair(u, occ, d, det[b])
+    return assemble_report(
+        det,
+        means,
+        prods,
+        "oracle",
+        pruned_mass=pruned,
+        configurations=kept,
+        energy_scale=setup.energy_scale,
+    )
+
+
+def assert_reports_match(report, reference, tol=1e-12):
+    assert report.active_detectors == reference.active_detectors
+    assert [p[:2] for p in report.pair_ratios] == [p[:2] for p in reference.pair_ratios]
+    np.testing.assert_allclose(
+        [p[2] for p in report.pair_ratios], [p[2] for p in reference.pair_ratios], rtol=tol
+    )
+    np.testing.assert_allclose(report.intensity_means, reference.intensity_means, rtol=tol)
+    assert report.gbar == pytest.approx(reference.gbar, rel=tol, abs=tol)
+    assert report.pruned_mass == pytest.approx(reference.pruned_mass, rel=tol, abs=0.0)
+    assert report.configurations == reference.configurations
+
+
+# ----------------------------------------------------------- batched oracle
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_kernel_matches_reference_on_every_small_fock_state(m):
+    # every occupation with at most 4 photons, n_a >= 2 included, in one block
+    occupations = [occ for occ in itertools.product(range(5), repeat=m) if sum(occ) <= 4]
+    block = np.array(occupations)
+    rng = np.random.default_rng(90 + m)
+    for trial in range(3):
+        u = random_unitary(m, 500 + 10 * m + trial).matrix
+        size = m if trial == 0 else int(rng.integers(2, m + 1))
+        det = tuple(int(d) for d in rng.permutation(m)[:size])
+        means, pairs = quantum_engine._lowered_norms(block, u[list(det)])
+        i, j = np.triu_indices(len(det), 1)
+        for k, occ in enumerate(occupations):
+            ref_means = [reference_mean(u, occ, d) for d in det]
+            ref_pairs = [reference_pair(u, occ, det[a], det[b]) for a, b in zip(i, j)]
+            np.testing.assert_allclose(means[k], ref_means, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(pairs[k], ref_pairs, rtol=1e-12, atol=1e-15)
+
+
+def test_public_pair_correlator_matches_reference():
+    u = random_unitary(4, 77)
+    for occ in itertools.product(range(3), repeat=4):
+        for i, j in itertools.permutations(range(4), 2):
+            expected = 2.5**2 * reference_pair(u.matrix, occ, i, j)
+            value = fock_oracle_pair_correlator(u, occ, i, j, energy_scale=2.5, photon_limit=8)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+
+def three_mixed_sources():
+    return coherent(0.6, 10), thermal(0.2, 12), squeezed_vacuum(0.3, 16)
+
+
+def mixed_setups():
+    custom = PhotonStatistics(np.array([0.5, 0.3, 0.0, 0.2]))
+    four_mode = QuantumSetup(
+        random_unitary(4, 31),
+        (fock(2), coherent(0.3, 8), custom, thermal(0.2, 12)),
+        detectors=(3, 0, 2),
+        energy_scale=0.7,
+    )
+    return [
+        (QuantumSetup(ftm(3), three_mixed_sources()), 1e-14),
+        (QuantumSetup(ftm(3), three_mixed_sources()), 1e-5),
+        (four_mode, 0.0),
+        (four_mode, 1e-9),
+        (QuantumSetup(random_unitary(2, 5), (fock(1), custom)), 0.0),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_oracle_gbar_matches_reference_loop(case):
+    setup, prune_tol = mixed_setups()[case]
+    report = oracle_gbar(setup, photon_limit=40, prune_tol=prune_tol)
+    reference = reference_oracle(setup, photon_limit=40, prune_tol=prune_tol)
+    assert_reports_match(report, reference)
+    if prune_tol == 0.0:
+        assert report.pruned_mass == 0.0 and reference.pruned_mass == 0.0
+    else:
+        assert report.pruned_mass > 0.0
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_block_boundaries_do_not_change_the_oracle(monkeypatch, rows):
+    setup = QuantumSetup(ftm(3), three_mixed_sources())
+    default = oracle_gbar(setup, photon_limit=40)
+    if rows is not None:
+        # one row of the 3-detector, 3-mode amplitude array takes 16 * 3 * 6 bytes
+        monkeypatch.setattr(quantum_engine, "ORACLE_BLOCK_BYTES", rows * 16 * 3 * 6)
+    assert_reports_match(oracle_gbar(setup, photon_limit=40), default)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+def test_product_blocks_stream_the_reference_enumeration(monkeypatch, rows):
+    # a small budget splits the prefixes of every source into several chunks
+    monkeypatch.setattr(quantum_engine, "ORACLE_BLOCK_BYTES", rows * 16 * 3 * 6)
+    stats = three_mixed_sources()
+    blocks = list(quantum_engine._product_blocks([q.pmf for q in stats], 1e-12, rows))
+    assert all(0 < len(occ) <= rows for occ, _, _ in blocks[:-1]) and len(blocks[-1][0]) == 0
+    expected = list(reference_configurations(stats, 1e-12))
+    kept = [(occ, p) for occ, p in expected if occ is not None]
+    assert [tuple(int(n) for n in row) for occ, _, _ in blocks for row in occ] == [
+        occ for occ, _ in kept
+    ]
+    np.testing.assert_allclose(np.concatenate([p for _, p, _ in blocks]), [p for _, p in kept])
+    pruned = sum(p for occ, p in expected if occ is None)
+    assert sum(mass for _, _, mass in blocks) == pytest.approx(pruned, rel=1e-12)
+
+
+def test_photon_limit_is_checked_before_any_amplitude(monkeypatch):
+    def no_amplitudes(*args):
+        raise AssertionError("amplitudes computed for a block over the photon limit")
+
+    setup = QuantumSetup(ftm(2), (coherent(1.0, 30), coherent(1.0, 30)))
+    first = next(
+        occ for occ, _ in reference_configurations(setup.stats, 1e-14)
+        if occ is not None and sum(occ) > 4
+    )
+    monkeypatch.setattr(quantum_engine, "_lowered_norms", no_amplitudes)
+    with pytest.raises(OracleLimitError, match=re.escape(str(first))):
+        oracle_gbar(setup, photon_limit=4)
+
+
+def test_oracle_reports_its_configuration_count():
+    setup = QuantumSetup(ftm(3), (fock(1), coherent(0.5, 10), thermal(0.2, 12)))
+    report = oracle_gbar(setup, photon_limit=30, prune_tol=0.0)
+    assert report.configurations == 2 * 11 * 13
+    assert report.to_dict()["configurations"] == 2 * 11 * 13
+    assert "configurations" not in quantum_gbar(setup).to_dict()
+
+
+pmfs = st.lists(st.integers(0, 10), min_size=1, max_size=5).filter(any)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    weights=st.lists(pmfs, min_size=2, max_size=3),
+    seed=st.integers(0, 2**31 - 1),
+    data=st.data(),
+)
+def test_oracle_equals_closed_form_property(weights, seed, data):
+    m = len(weights)
+    stats = tuple(PhotonStatistics(np.array(w, float) / sum(w)) for w in weights)
+    assume(any(q.mean > 0 for q in stats))
+    det = data.draw(st.permutations(range(m)))[: data.draw(st.integers(2, m))]
+    setup = QuantumSetup(random_unitary(m, seed), stats, detectors=tuple(det))
+    report = oracle_gbar(setup, photon_limit=4 * m, prune_tol=0.0)
+    closed = quantum_gbar(setup)
+    assert report.pruned_mass == 0.0
+    assert report.gbar == pytest.approx(closed.gbar, rel=1e-10, abs=1e-10)
+    for (_, _, r), (_, _, c) in zip(report.pair_ratios, closed.pair_ratios):
+        assert r == pytest.approx(c, rel=1e-10, abs=1e-10)

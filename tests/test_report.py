@@ -78,3 +78,15 @@ def test_batch_stderr_needs_two_batches():
     with pytest.raises(InsufficientSamplesError):
         batch_stderr([])
     assert batch_stderr([0.4, 0.6]) == pytest.approx(0.1, abs=1e-15)
+
+
+def test_batch_reports_record_their_batch_count():
+    setup = ClassicalSetup(ftm(3).matrix, tuple(fixed_source(1.0) for _ in range(3)))
+    # 30 shots in 50 batches: min(batches, shots) batches of one shot
+    assert mc_estimate_gbar(setup, shots=30, seed=1, batches=50).batches == 30
+    report = mc_estimate_gbar(setup, shots=3000, seed=1, batches=7)
+    assert report.batches == 7 and report.to_dict()["batches"] == 7
+    records = [ShotRecord(k, [1.0 + k % 3, 2.0, 1.5]) for k in range(120)]
+    assert correlation_report_from_records(records, batches=8).batches == 8
+    analytic = sample_report()
+    assert analytic.batches is None and "batches" not in analytic.to_dict()
