@@ -2,8 +2,8 @@
 
 Loads a JSON experiment configuration, dispatches to the engines, bounds,
 optimizer, or ingestion, and emits a human-readable summary on stdout plus an
-optional machine-readable JSON report. Reports echo the fully resolved
-configuration (defaults included) and are byte-identical across reruns of the
+optional machine-readable JSON report. Reports echo exactly the config fields
+the mode read, defaults applied, and are byte-identical across reruns of the
 same configuration and seed. Witness verdicts never affect the exit status.
 """
 
@@ -15,22 +15,15 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import bounds
 from .classical_engine import ClassicalSetup, classical_gbar, mc_estimate_gbar
 from .errors import (
     ConfigError,
-    DegenerateSetupError,
     DimensionError,
-    InsufficientSamplesError,
     InvalidStatisticsError,
     MatrixValidationError,
     MultiportError,
-    OracleLimitError,
     PreconditionError,
-    TruncationError,
-    UndefinedEtaError,
 )
 from .ingestion import GbarEstimate, correlation_report_from_records, read_shot_records
 from .interferometer import UnitaryMatrix, direct_sum, ftm, load_matrix, random_unitary
@@ -55,27 +48,7 @@ EXIT_CONFIG = 2
 EXIT_DIMENSION = 3
 EXIT_ENGINE = 4
 
-_DIMENSION_ERRORS = (DimensionError, MatrixValidationError, InvalidStatisticsError)
-_ENGINE_ERRORS = (
-    DegenerateSetupError,
-    InsufficientSamplesError,
-    OracleLimitError,
-    TruncationError,
-    UndefinedEtaError,
-    PreconditionError,
-)
-
-MODES = (
-    "classical-analytic",
-    "classical-mc",
-    "quantum",
-    "oracle",
-    "bounds",
-    "optimize",
-    "witness",
-    "divisibility",
-    "ingest",
-)
+_REQUIRED = object()
 
 
 def _finite(token: str) -> float:
@@ -86,10 +59,32 @@ def _finite(token: str) -> float:
     return value
 
 
-def _need(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required config field {key!r}")
-    return cfg[key]
+class _Fields(dict):
+    """The resolved config: each field a mode read, as :meth:`read` returned
+    it, and the values derived from those fields, assigned directly."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def read(self, key: str, kind=None, default=_REQUIRED):
+        """Field ``key`` passed through ``kind``, or ``default`` when absent. A
+        field whose default is ``None`` stays ``None`` when absent or null;
+        any other null goes through ``kind`` and so is refused as malformed."""
+        if key in self.source:
+            value = self.source[key]
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required config field {key!r}")
+        else:
+            value = default
+        if kind is not None and (value is not None or default is not None):
+            value = kind(value)
+        self[key] = value
+        return value
+
+    def optional(self, key: str, kind=None):
+        """A field with no default: ``None``, and not echoed, when absent or null."""
+        return None if self.source.get(key) is None else self.read(key, kind)
 
 
 def _build_unitary(spec) -> UnitaryMatrix:
@@ -99,7 +94,7 @@ def _build_unitary(spec) -> UnitaryMatrix:
     if kind == "ftm":
         return ftm(int(value))
     if kind == "random":
-        return random_unitary(int(_need(value, "dim")), int(value.get("seed", 0)))
+        return random_unitary(_Fields(value).read("dim", int), int(value.get("seed", 0)))
     if kind == "direct_sum":
         if not isinstance(value, list) or len(value) != 2:
             raise ConfigError("direct_sum takes a list of two interferometer specs")
@@ -109,75 +104,57 @@ def _build_unitary(spec) -> UnitaryMatrix:
     raise ConfigError(f"unknown interferometer builder {kind!r}")
 
 
-def _build_transfer(spec) -> np.ndarray:
-    """Like :func:`_build_unitary` but files may hold arbitrary rectangular maps."""
+def _classical_setup(fields: _Fields) -> ClassicalSetup:
+    spec = fields.read("interferometer")
+    # unlike the builders, a file may hold an arbitrary rectangular map
     if isinstance(spec, dict) and set(spec) == {"file"}:
-        return load_matrix(spec["file"])
-    return _build_unitary(spec).matrix
+        transfer = load_matrix(spec["file"])
+    else:
+        transfer = _build_unitary(spec).matrix
+    sources = tuple(classical_source_from_record(r) for r in fields.read("sources"))
+    overlap = fields.read("overlap", default=None)
+    if overlap is not None:
+        overlap = OverlapMatrix(load_matrix(_Fields(overlap).read("file")))
+    energy = fields.read("energy_scale", float, 1.0)
+    return ClassicalSetup(transfer, sources, overlap=overlap, energy_scale=energy)
 
 
-def _classical_setup(cfg: dict) -> tuple[ClassicalSetup, dict]:
-    transfer = _build_transfer(_need(cfg, "interferometer"))
-    records = _need(cfg, "sources")
-    sources = tuple(classical_source_from_record(r) for r in records)
-    overlap_cfg = cfg.get("overlap")
-    overlap = None
-    if overlap_cfg is not None:
-        overlap = OverlapMatrix(load_matrix(_need(overlap_cfg, "file")))
-    energy = float(cfg.get("energy_scale", 1.0))
-    setup = ClassicalSetup(transfer, sources, overlap=overlap, energy_scale=energy)
-    resolved = {
-        "interferometer": cfg["interferometer"],
-        "sources": records,
-        "overlap": overlap_cfg,
-        "energy_scale": energy,
-    }
-    return setup, resolved
-
-
-def _quantum_setup(cfg: dict) -> tuple[QuantumSetup, dict]:
-    unitary = _build_unitary(_need(cfg, "interferometer"))
+def _quantum_setup(fields: _Fields, broadcast: bool = False) -> QuantumSetup:
+    """Sources padded with vacuum to the unitary's modes; with ``broadcast``,
+    a single source record means the same state on every port."""
+    unitary = _build_unitary(fields.read("interferometer"))
     m = unitary.dim
-    records = list(_need(cfg, "sources"))
+    records = list(fields.read("sources"))
+    if broadcast and len(records) == 1:
+        records *= m
     if len(records) > m:
         raise ConfigError(f"{len(records)} sources for {m} modes")
-    padded = records + [{"kind": "vacuum"}] * (m - len(records))
-    stats = tuple(photon_statistics_from_record(r) for r in padded)
-    det_cfg = cfg.get("detectors", "all")
+    fields["sources"] = records + [{"kind": "vacuum"}] * (m - len(records))
+    stats = tuple(photon_statistics_from_record(r) for r in fields["sources"])
+    det_cfg = fields.read("detectors", default="all")
     detectors = None if det_cfg == "all" else tuple(int(d) for d in det_cfg)
-    energy = float(cfg.get("energy_scale", 1.0))
+    energy = fields.read("energy_scale", float, 1.0)
     setup = QuantumSetup(unitary, stats, detectors=detectors, energy_scale=energy)
-    resolved = {
-        "interferometer": cfg["interferometer"],
-        "sources": padded,
-        "detectors": list(setup.detectors),
-        "energy_scale": energy,
-    }
-    return setup, resolved
+    fields["detectors"] = list(setup.detectors)
+    return setup
 
 
-def _withheld(verdict: bounds.WitnessVerdict) -> bounds.WitnessVerdict:
-    """The verdict made inconclusive, for estimates whose error no stderr bounds."""
-    return dataclasses.replace(verdict, classification=bounds.INCONCLUSIVE)
-
-
-def _run_engine(cfg: dict, seed: int, mode: str) -> tuple[dict, list[str]]:
+def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     """classical-analytic, classical-mc, quantum and oracle: a report and its witness."""
+    mode = fields["mode"]
     if mode.startswith("classical"):
-        setup, resolved = _classical_setup(cfg)
+        setup = _classical_setup(fields)
         powers = [classical_moments(s)[0] for s in setup.sources]
     else:
-        setup, resolved = _quantum_setup(cfg)
+        setup = _quantum_setup(fields)
         powers = [q.mean for q in setup.stats]
     if mode == "classical-mc":
-        shots = int(_need(cfg, "shots"))
-        batches = int(cfg.get("batches", 100))
-        resolved.update({"shots": shots, "seed": seed, "batches": batches})
-        rep = mc_estimate_gbar(setup, shots, seed, batches=batches)
+        shots = fields.read("shots", int)
+        seed = fields.read("seed", int, 0)
+        rep = mc_estimate_gbar(setup, shots, seed, batches=fields.read("batches", int, 100))
     elif mode == "oracle":
-        photon_limit = int(cfg.get("photon_limit", DEFAULT_PHOTON_LIMIT))
-        prune_tol = float(cfg.get("prune_tol", DEFAULT_PRUNE_TOL))
-        resolved.update({"photon_limit": photon_limit, "prune_tol": prune_tol})
+        photon_limit = fields.read("photon_limit", int, DEFAULT_PHOTON_LIMIT)
+        prune_tol = fields.read("prune_tol", float, DEFAULT_PRUNE_TOL)
         rep = oracle_gbar(setup, photon_limit=photon_limit, prune_tol=prune_tol)
     else:
         rep = (classical_gbar if mode == "classical-analytic" else quantum_gbar)(setup)
@@ -188,22 +165,17 @@ def _run_engine(cfg: dict, seed: int, mode: str) -> tuple[dict, list[str]]:
     )
     # a pruned enumeration is biased by an amount no stderr measures
     if rep.pruned_mass:
-        verdict = _withheld(verdict)
+        verdict = dataclasses.replace(verdict, classification=bounds.INCONCLUSIVE)
     witness = {**verdict.to_dict(), "n_sources": n_sources, "n_detectors": n_detectors}
-    results = {"correlations": rep.to_dict(), "witness": witness}
     summary = [f"gbar = {rep.gbar:.12g} ({rep.provenance})", verdict.one_line()]
-    return {"config": resolved, "results": results}, summary
+    return {"correlations": rep.to_dict(), "witness": witness}, summary
 
 
-def _run_divisibility(cfg: dict) -> tuple[dict, list[str]]:
-    if cfg.get("detectors", "all") != "all":
+def _run_divisibility(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+    if fields.read("detectors", default="all") != "all":
         raise PreconditionError("divisibility certification needs all outputs monitored")
-    records = list(_need(cfg, "sources"))
-    if len(records) == 1:
-        # one record means the same state on every port
-        records = records * _build_unitary(_need(cfg, "interferometer")).dim
-    setup, resolved = _quantum_setup({**cfg, "sources": records})
-    padded = resolved["sources"]
+    setup = _quantum_setup(fields, broadcast=True)
+    padded = fields["sources"]
     if any(r != padded[0] for r in padded):
         raise PreconditionError("divisibility certification needs identical inputs")
     shared_eta = eta(setup.stats[0])
@@ -217,13 +189,13 @@ def _run_divisibility(cfg: dict) -> tuple[dict, list[str]]:
         "witness": verdict.to_dict(),
     }
     summary = [f"gbar = {rep.gbar:.12g} (eta = {shared_eta:.6g})", verdict.one_line()]
-    return {"config": resolved, "results": results}, summary
+    return results, summary
 
 
-def _run_bounds(cfg: dict) -> tuple[dict, list[str]]:
-    m_min = int(cfg.get("m_min", 2))
-    m_max = int(cfg.get("m_max", 10))
-    eta_value = float(cfg.get("eta", 1.0))
+def _run_bounds(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+    m_min = fields.read("m_min", int, 2)
+    m_max = fields.read("m_max", int, 10)
+    eta_value = fields.read("eta", float, 1.0)
     if m_min < 2 or m_max < m_min:
         raise ConfigError("bounds mode needs 2 <= m_min <= m_max")
     rows = []
@@ -236,35 +208,28 @@ def _run_bounds(cfg: dict) -> tuple[dict, list[str]]:
                 "divisibility_threshold": bounds.divisibility_threshold(m, eta_value),
             }
         )
-    resolved = {"m_min": m_min, "m_max": m_max, "eta": eta_value}
     header = "m\tclassical_min\tsymmetric_quantum_min\tdivisibility_threshold"
     lines = [header] + [
         f"{r['m']}\t{r['classical_min']:.12g}\t{r['symmetric_quantum_min']:.12g}"
         f"\t{r['divisibility_threshold']:.12g}"
         for r in rows
     ]
-    table_out = cfg.get("table_out")
+    table_out = fields.optional("table_out")
     if table_out:
         with open(table_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        resolved["table_out"] = table_out
-    return {"config": resolved, "results": {"thresholds": rows}}, lines
+    return {"thresholds": rows}, lines
 
 
-def _run_optimize(cfg: dict, seed: int, verbose: bool) -> tuple[dict, list[str]]:
-    n_sources = int(_need(cfg, "n_sources"))
-    n_detectors = int(_need(cfg, "n_detectors"))
-    restarts = int(cfg.get("restarts", 20))
+def _run_optimize(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+    n_sources = fields.read("n_sources", int)
+    n_detectors = fields.read("n_detectors", int)
+    restarts = fields.read("restarts", int, 20)
+    seed = fields.read("seed", int, 0)
     trace = sys.stderr if verbose else None
     result = multistart_minimize(n_sources, n_detectors, restarts=restarts, seed=seed, trace=trace)
     value = result.value
     closed_form = bounds.classical_min(n_sources, n_detectors)
-    resolved = {
-        "n_sources": n_sources,
-        "n_detectors": n_detectors,
-        "restarts": restarts,
-        "seed": seed,
-    }
     results = {
         "minimum": value,
         "closed_form": closed_form,
@@ -280,64 +245,42 @@ def _run_optimize(cfg: dict, seed: int, verbose: bool) -> tuple[dict, list[str]]
         f"best restart {result.best_restart} of {restarts}, "
         f"tangent gradient norm {result.gradient_norm:.3g}",
     ]
-    return {"config": resolved, "results": results}, summary
+    return results, summary
 
 
-def _run_witness(cfg: dict) -> tuple[dict, list[str]]:
-    kind = cfg.get("witness_kind", "nonclassicality")
-    gbar = float(_need(cfg, "gbar"))
-    stderr = cfg.get("stderr")
-    stderr = None if stderr is None else float(stderr)
+def _run_witness(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+    kind = fields.read("witness_kind", default="nonclassicality")
+    gbar = fields.read("gbar", float)
+    stderr = fields.read("stderr", float, None)
+    batches = fields.optional("batches", int)
     if kind == "nonclassicality":
-        n_sources = int(_need(cfg, "n_sources"))
-        n_detectors = int(_need(cfg, "n_detectors"))
-        verdict = bounds.nonclassicality_witness(gbar, n_sources, n_detectors, stderr=stderr)
-        resolved = {
-            "witness_kind": kind,
-            "gbar": gbar,
-            "stderr": stderr,
-            "n_sources": n_sources,
-            "n_detectors": n_detectors,
-        }
+        witness = bounds.nonclassicality_witness
+        args = fields.read("n_sources", int), fields.read("n_detectors", int)
     elif kind == "divisibility":
-        n_modes = int(_need(cfg, "n_modes"))
-        eta_value = float(_need(cfg, "eta"))
-        verdict = bounds.divisibility_witness(gbar, n_modes, eta_value, stderr=stderr)
-        resolved = {
-            "witness_kind": kind,
-            "gbar": gbar,
-            "stderr": stderr,
-            "n_modes": n_modes,
-            "eta": eta_value,
-        }
+        witness = bounds.divisibility_witness
+        args = fields.read("n_modes", int), fields.read("eta", float)
     else:
         raise ConfigError(f"unknown witness_kind {kind!r}")
-    return {"config": resolved, "results": {"witness": verdict.to_dict()}}, [verdict.one_line()]
+    verdict = witness(gbar, *args, stderr=stderr, batches=batches)
+    return {"witness": verdict.to_dict()}, [verdict.one_line()]
 
 
-def _run_ingest(cfg: dict) -> tuple[dict, list[str]]:
-    path = _need(cfg, "records_file")
-    delimiter = cfg.get("delimiter")
-    batches = int(cfg.get("batches", 100))
-    records, rejected = read_shot_records(path, delimiter=delimiter)
-    full_report = correlation_report_from_records(records, batches=batches)
+def _run_ingest(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+    records, rejected = read_shot_records(
+        fields.read("records_file"), delimiter=fields.read("delimiter", default=None)
+    )
+    full_report = correlation_report_from_records(records, batches=fields.read("batches", int, 100))
     estimate = GbarEstimate.from_report(full_report, len(records))
     n_detectors = len(estimate.active_detectors)
-    n_sources = cfg.get("n_sources")
-    assumed = n_sources is None
+    n_sources = fields.read("n_sources", int, None)
+    fields["n_sources_assumed"] = n_sources is None
     # without a declared source count, N >= M gives the lowest (most
     # conservative) classical bound, so no false certification is possible
-    n_sources = n_detectors if assumed else int(n_sources)
+    if n_sources is None:
+        n_sources = fields["n_sources"] = n_detectors
     verdict = bounds.nonclassicality_witness(
         estimate.gbar, n_sources, n_detectors, stderr=estimate.stderr, batches=full_report.batches
     )
-    resolved = {
-        "records_file": path,
-        "delimiter": delimiter,
-        "batches": batches,
-        "n_sources": n_sources,
-        "n_sources_assumed": assumed,
-    }
     results = {
         "estimate": estimate.to_dict(),
         "correlations": full_report.to_dict(),
@@ -349,33 +292,34 @@ def _run_ingest(cfg: dict) -> tuple[dict, list[str]]:
         + (f" ({rejected} rejected)" if rejected else ""),
         verdict.one_line(),
     ]
-    return {"config": resolved, "results": results}, summary
+    return results, summary
+
+
+_RUNNERS = {
+    "classical-analytic": _run_engine,
+    "classical-mc": _run_engine,
+    "quantum": _run_engine,
+    "oracle": _run_engine,
+    "bounds": _run_bounds,
+    "optimize": _run_optimize,
+    "witness": _run_witness,
+    "divisibility": _run_divisibility,
+    "ingest": _run_ingest,
+}
+MODES = tuple(_RUNNERS)
 
 
 def run(config: dict, seed_override: int | None = None, verbose: bool = False) -> tuple[dict, list[str]]:
     """Execute one experiment configuration; returns (report, summary lines)."""
     if not isinstance(config, dict):
         raise ConfigError("configuration must be a JSON object")
-    mode = _need(config, "mode")
+    # the override replaces the seed of the modes that read one
+    fields = _Fields(config if seed_override is None else {**config, "seed": seed_override})
+    mode = fields.read("mode")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    seed = int(seed_override if seed_override is not None else config.get("seed", 0))
-
-    if mode in ("classical-analytic", "classical-mc", "quantum", "oracle"):
-        report, summary = _run_engine(config, seed, mode)
-    elif mode == "divisibility":
-        report, summary = _run_divisibility(config)
-    elif mode == "bounds":
-        report, summary = _run_bounds(config)
-    elif mode == "optimize":
-        report, summary = _run_optimize(config, seed, verbose)
-    elif mode == "witness":
-        report, summary = _run_witness(config)
-    else:
-        report, summary = _run_ingest(config)
-    report["mode"] = mode
-    report["config"]["mode"] = mode
-    return report, summary
+    results, summary = _RUNNERS[mode](fields, verbose)
+    return {"config": dict(fields), "mode": mode, "results": results}, summary
 
 
 def main(argv=None) -> int:
@@ -398,23 +342,15 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         report, summary = run(config, seed_override=args.seed, verbose=args.verbose)
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _DIMENSION_ERRORS as exc:
+    except (DimensionError, MatrixValidationError, InvalidStatisticsError) as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except _ENGINE_ERRORS as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
-    except MultiportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
-    except (OSError, TypeError, ValueError) as exc:
-        # unreadable referenced files, malformed field values, and values
-        # that overflow to a non-finite number in the report
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (MultiportError, OSError, TypeError, ValueError) as exc:
+        # ConfigError, unreadable files, malformed field values and values that
+        # overflow to a non-finite number in the report exit 2, other errors 4
+        engine = isinstance(exc, MultiportError) and not isinstance(exc, ConfigError)
+        print(f"{'engine' if engine else 'config'} error: {exc}", file=sys.stderr)
+        return EXIT_ENGINE if engine else EXIT_CONFIG
 
     if args.out:
         try:

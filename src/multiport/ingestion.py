@@ -8,6 +8,7 @@ same statistic on equal contiguous batches of shots.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -75,14 +76,8 @@ def correlation_report_from_records(
     if len({r.intensities.size for r in records}) != 1:
         raise MatrixValidationError("all records must cover the same detectors")
     data = np.stack([r.intensities for r in records])
-    sizes = batch_sizes(len(data), batches)
-    blocks = np.split(data, np.cumsum(sizes)[:-1])
-    return report_from_batches(
-        np.array([block.sum(axis=0) for block in blocks]),
-        np.array([block.T @ block for block in blocks]),
-        sizes,
-        "measured",
-    )
+    blocks = np.split(data, np.cumsum(batch_sizes(len(data), batches))[:-1])
+    return report_from_batches(blocks, "measured")
 
 
 def estimate_gbar_from_records(
@@ -101,18 +96,18 @@ def _number(field: str) -> float | None:
 
 
 def read_shot_records(
-    lines: Iterable[str] | str, delimiter: str | None = None
+    lines: Iterable[str] | str | os.PathLike, delimiter: str | None = None
 ) -> tuple[list[ShotRecord], int]:
     """Parse delimiter-separated intensity records, one shot per line.
 
-    ``lines`` may be a path or an iterable of lines. An optional first line
-    whose fields are all non-numeric labels is treated as a header and fixes
-    the detector count.
+    ``lines`` may be a path (a ``str`` is always a path, never record text)
+    or an iterable of lines. An optional first line whose fields are all
+    non-numeric labels is treated as a header and fixes the detector count.
     Shots with a wrong column count or unparseable, negative, or non-finite
     values are rejected rather than imputed; the rejected count is returned
     alongside the accepted records.
     """
-    if isinstance(lines, str):
+    if isinstance(lines, (str, os.PathLike)):
         with open(lines, encoding="utf-8") as fh:
             raw = fh.readlines()
     else:

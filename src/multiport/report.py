@@ -11,7 +11,7 @@ share one batch estimator, :func:`report_from_batches`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -179,19 +179,21 @@ def batch_stderr(values: Sequence[float]) -> float:
 
 
 def report_from_batches(
-    sum_i: np.ndarray,
-    sum_prod: np.ndarray,
-    sizes: np.ndarray,
-    provenance: str,
-    energy_scale: float = 1.0,
+    blocks: Iterable[np.ndarray], provenance: str, energy_scale: float = 1.0
 ) -> CorrelationReport:
-    """Report of shots accumulated in batches, with a batch-means stderr.
+    """Report of shots in batches, with a batch-means stderr.
 
-    Row b of ``sum_i`` (batches x M) and ``sum_prod`` (batches x M x M) sums
-    the intensities and intensity products of ``sizes[b]`` shots; the report
-    records the batch count. Monte Carlo and measured records share this
-    estimator.
+    Each block holds the (shots x M) detector intensities of one batch; only
+    its sums of intensities and intensity products are kept, so a generator
+    of blocks holds one batch at a time. The report records the batch count.
+    Monte Carlo and measured records share this estimator.
     """
+    sums, products, counts = [], [], []
+    for block in blocks:
+        sums.append(block.sum(axis=0))
+        products.append(block.T @ block)
+        counts.append(len(block))
+    sum_i, sum_prod, sizes = np.array(sums), np.array(products), np.array(counts)
     shots = sizes.sum()
     means = sum_i.sum(axis=0) / shots
     per_batch = gbar_from_sums(sum_i, sum_prod, sizes, active_positions(means))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from multiport import ftm, save_matrix
+import multiport.cli as cli
+from multiport import errors, ftm, save_matrix
 from multiport.cli import EXIT_CONFIG, EXIT_DIMENSION, EXIT_ENGINE, EXIT_OK, main
 
 
@@ -501,3 +502,107 @@ def test_optimize_reports_deterministic_diagnostics(tmp_path):
     assert len(results["iterations"]) == 5
     assert all(isinstance(k, int) and 0 <= k <= 2000 for k in results["iterations"])
     assert 0.0 <= results["gradient_norm"] < 1e-3
+
+
+@pytest.mark.parametrize("batches,expected", [(3, "inconclusive"), (20, "nonclassical")])
+def test_witness_mode_honours_batches(batches, expected):
+    # 5 sigma below the bound, but a stderr from 3 batches cannot certify
+    payload = {"mode": "witness", "gbar": 0.45, "stderr": 0.01, "n_sources": 2, "n_detectors": 2}
+    report, _ = cli.run({**payload, "batches": batches})
+    assert report["results"]["witness"]["classification"] == expected
+    assert report["config"]["batches"] == batches
+
+
+FIXED = {"kind": "fixed", "amplitude": 1.0}
+FOCK = {"kind": "fock", "n": 1}
+OVERLAP = {"file": "overlap.txt"}
+
+# mode, its required fields, and every optional field it reads, each set to a
+# value other than its default; file names are relative to the test directory
+NON_DEFAULT_FIELDS = [
+    ("classical-analytic", {"interferometer": {"ftm": 2}, "sources": [FIXED, FIXED]},
+     {"overlap": OVERLAP, "energy_scale": 2.0}),
+    ("classical-mc", {"interferometer": {"ftm": 2}, "sources": [FIXED, FIXED], "shots": 400},
+     {"overlap": OVERLAP, "energy_scale": 2.0, "batches": 20, "seed": 3}),
+    ("quantum", {"interferometer": {"ftm": 3}, "sources": [FOCK] * 3},
+     {"detectors": [0, 2], "energy_scale": 2.0}),
+    ("oracle", {"interferometer": {"ftm": 3}, "sources": [FOCK] * 3},
+     {"detectors": [0, 2], "energy_scale": 2.0, "photon_limit": 5, "prune_tol": 1e-9}),
+    ("bounds", {}, {"m_min": 3, "m_max": 5, "eta": 0.5, "table_out": "table.tsv"}),
+    ("optimize", {"n_sources": 2, "n_detectors": 2}, {"restarts": 2, "seed": 5}),
+    ("witness", {"gbar": 0.45, "n_sources": 2, "n_detectors": 2}, {"stderr": 0.01, "batches": 3}),
+    ("witness", {"gbar": 0.5, "n_modes": 4, "eta": 1.0},
+     {"witness_kind": "divisibility", "stderr": 0.01, "batches": 30}),
+    ("divisibility", {"interferometer": {"ftm": 4}, "sources": [FOCK]}, {"energy_scale": 2.0}),
+    ("ingest", {"records_file": "shots.txt"}, {"delimiter": ",", "batches": 20, "n_sources": 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "mode,required,optional",
+    NON_DEFAULT_FIELDS,
+    ids=["-".join(filter(None, [mode, opt.get("witness_kind")])) for mode, _, opt in NON_DEFAULT_FIELDS],
+)
+def test_config_echoes_every_field_the_mode_read(tmp_path, monkeypatch, mode, required, optional):
+    monkeypatch.chdir(tmp_path)
+    save_matrix(np.array([[1, 0.5], [0.5, 1]], dtype=complex), "overlap.txt")
+    np.savetxt("shots.txt", np.random.default_rng(1).uniform(0.5, 1, (400, 3)), delimiter=",")
+    report, _ = cli.run({"mode": mode, **required, **optional, "unread": 1})
+    config = report["config"]
+    assert {key: config[key] for key in optional} == optional
+    assert config["mode"] == mode and "unread" not in config
+
+
+def concrete_errors(base=errors.MultiportError):
+    found = []
+    for sub in base.__subclasses__():
+        found += [sub] + concrete_errors(sub)
+    return found
+
+
+# the exit code README documents for each toolkit error
+EXIT_BY_ERROR = {
+    errors.ConfigError: EXIT_CONFIG,
+    errors.DimensionError: EXIT_DIMENSION,
+    errors.MatrixValidationError: EXIT_DIMENSION,
+    errors.InvalidStatisticsError: EXIT_DIMENSION,
+    errors.TruncationError: EXIT_ENGINE,
+    errors.UndefinedEtaError: EXIT_ENGINE,
+    errors.DegenerateSetupError: EXIT_ENGINE,
+    errors.InsufficientSamplesError: EXIT_ENGINE,
+    errors.OracleLimitError: EXIT_ENGINE,
+    errors.PreconditionError: EXIT_ENGINE,
+}
+
+
+@pytest.mark.parametrize("error", concrete_errors(), ids=lambda e: e.__name__)
+def test_every_error_class_exits_with_its_documented_code(tmp_path, monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run", fail)
+    code, _, out_path = run_cli(tmp_path, {"mode": "witness"})
+    assert code == EXIT_BY_ERROR[error]
+    assert not out_path.exists()
+    prefix = {EXIT_CONFIG: "config", EXIT_DIMENSION: "dimension", EXIT_ENGINE: "engine"}[code]
+    assert capsys.readouterr().err == f"{prefix} error: boom\n"
+
+
+def test_null_fields_with_no_default_mean_absent(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("shots.txt", np.random.default_rng(2).uniform(0.5, 1, (300, 2)))
+    witness = {"mode": "witness", "gbar": 0.45, "n_sources": 2, "n_detectors": 2}
+    ingest = {"mode": "ingest", "records_file": "shots.txt"}
+    for payload, key in [(witness, "stderr"), (witness, "batches"), (ingest, "delimiter")]:
+        assert cli.run({**payload, key: None}) == cli.run(payload)
+    assert "batches" not in cli.run(witness)[0]["config"]
+
+
+@pytest.mark.parametrize("mode", ["classical-mc", "ingest"])
+def test_null_batches_exits_config_error(tmp_path, mode):
+    records = tmp_path / "shots.txt"
+    np.savetxt(records, np.random.default_rng(0).uniform(0, 1, (200, 2)))
+    base = HOM_CLASSICAL_MC if mode == "classical-mc" else {"mode": "ingest", "records_file": str(records)}
+    code, _, out_path = run_cli(tmp_path, {**base, "batches": None})
+    assert code == EXIT_CONFIG
+    assert not out_path.exists()

@@ -131,6 +131,13 @@ def test_reader_from_file(tmp_path):
     path.write_text("1.0 2.0\n3.0 4.0\n")
     records, rejected = read_shot_records(str(path))
     assert len(records) == 2 and rejected == 0
+    records, rejected = read_shot_records(path)
+    assert len(records) == 2 and rejected == 0
+
+
+def test_reader_takes_a_str_as_a_path_never_as_record_text():
+    with pytest.raises(FileNotFoundError):
+        read_shot_records("1 2 3")
 
 
 def test_reader_counts_malformed_first_row_as_rejected():

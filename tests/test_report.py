@@ -11,7 +11,7 @@ from multiport import (
     mc_estimate_gbar,
 )
 from multiport import InsufficientSamplesError
-from multiport.report import CorrelationReport, batch_stderr
+from multiport.report import CorrelationReport, batch_stderr, report_from_batches
 
 
 def sample_report():
@@ -90,3 +90,20 @@ def test_batch_reports_record_their_batch_count():
     assert correlation_report_from_records(records, batches=8).batches == 8
     analytic = sample_report()
     assert analytic.batches is None and "batches" not in analytic.to_dict()
+
+
+def test_batch_report_sums_a_generator_of_uneven_blocks():
+    data = np.random.default_rng(3).exponential(size=(50, 3))
+    cuts = [(0, 7), (7, 30), (30, 50)]
+    report = report_from_batches((data[a:b] for a, b in cuts), "measured", energy_scale=2.0)
+
+    def pair_average(block):
+        mean = block.mean(axis=0)
+        products = block.T @ block / len(block)
+        return np.mean([products[i, j] / (mean[i] * mean[j]) for i, j in [(0, 1), (0, 2), (1, 2)]])
+
+    per_batch = [pair_average(data[a:b]) for a, b in cuts]
+    assert report.batches == 3
+    assert report.gbar == pytest.approx(pair_average(data), rel=1e-12)
+    assert report.stderr == pytest.approx(np.std(per_batch, ddof=1) / np.sqrt(3), rel=1e-12)
+    assert np.allclose(report.intensity_means, 2.0 * data.mean(axis=0), rtol=1e-12)
