@@ -11,9 +11,10 @@ corresponding property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DimensionError, InvalidStatisticsError, PreconditionError
+from .report import CorrelationReport
 
 # Certification requires the margin to exceed this many standard errors when
 # an uncertainty is supplied; a conservative documented default.
@@ -98,17 +99,7 @@ class WitnessVerdict:
     confidence_sigmas: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "gbar": self.gbar,
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "classification": self.classification,
-        }
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
-        if self.confidence_sigmas is not None:
-            out["confidence_sigmas"] = self.confidence_sigmas
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     def one_line(self) -> str:
         detail = f"gbar={self.gbar:.6g} vs threshold={self.threshold:.6g}"
@@ -118,13 +109,18 @@ class WitnessVerdict:
 
 
 def _verdict(
-    gbar: float,
+    gbar: float | CorrelationReport,
     threshold: float,
     stderr: float | None,
     certified: str,
     sigma: float,
     batches: int | None,
 ) -> WitnessVerdict:
+    pruned_mass = None
+    if isinstance(gbar, CorrelationReport):
+        if stderr is not None or batches is not None:
+            raise PreconditionError("a report supplies its own stderr and batches")
+        gbar, stderr, batches, pruned_mass = gbar.gbar, gbar.stderr, gbar.batches, gbar.pruned_mass
     if not math.isfinite(gbar) or (stderr is not None and not math.isfinite(stderr)):
         raise PreconditionError(f"a verdict needs a finite gbar and stderr, got {gbar}, {stderr}")
     margin = threshold - gbar
@@ -140,8 +136,9 @@ def _verdict(
             classification = certified
         else:
             classification = CLASSICAL_COMPATIBLE
-    # a stderr from few batches is itself too uncertain for the sigma rule
-    if batches is not None and batches < MIN_CERTIFY_BATCHES:
+    # a stderr from few batches is itself too uncertain for the sigma rule, and
+    # a pruned enumeration is biased by an amount no stderr measures
+    if (batches is not None and batches < MIN_CERTIFY_BATCHES) or pruned_mass:
         classification = INCONCLUSIVE
     return WitnessVerdict(
         gbar=gbar,
@@ -154,7 +151,7 @@ def _verdict(
 
 
 def nonclassicality_witness(
-    gbar: float,
+    gbar: float | CorrelationReport,
     n_sources: int,
     n_detectors: int,
     stderr: float | None = None,
@@ -167,13 +164,18 @@ def nonclassicality_witness(
     classical fields, whatever the linear evolution. ``batches`` is the
     number of batches behind a batch-means ``stderr``; below
     ``MIN_CERTIFY_BATCHES`` the verdict is inconclusive.
+
+    ``gbar`` may be a :class:`CorrelationReport`, which supplies its own
+    ``stderr`` and ``batches`` (passing them too is an error) and never
+    certifies with a positive ``pruned_mass``; a bare number does not know
+    about batches or pruning unless they are passed with it.
     """
     threshold = classical_min(n_sources, n_detectors)
     return _verdict(gbar, threshold, stderr, NONCLASSICAL, sigma, batches)
 
 
 def divisibility_witness(
-    gbar: float,
+    gbar: float | CorrelationReport,
     n_modes: int,
     eta: float,
     stderr: float | None = None,
@@ -184,8 +186,8 @@ def divisibility_witness(
 
     Stated for m identical inputs with eta >= 0 and all m outputs monitored;
     a value below the threshold certifies that the evolution cannot split
-    into two independent subblocks. ``batches`` acts as in
-    :func:`nonclassicality_witness`.
+    into two independent subblocks. A report as ``gbar`` and ``batches`` act
+    as in :func:`nonclassicality_witness`.
     """
     if eta < 0:
         raise PreconditionError(

@@ -10,7 +10,6 @@ same configuration and seed. Witness verdicts never affect the exit status.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from .errors import (
     MultiportError,
     PreconditionError,
 )
-from .ingestion import GbarEstimate, correlation_report_from_records, read_shot_records
+from .ingestion import correlation_report_from_records, read_shot_records
 from .interferometer import UnitaryMatrix, direct_sum, ftm, load_matrix, random_unitary
 from .optimizer import multistart_minimize
 from .quantum_engine import (
@@ -160,12 +159,7 @@ def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
         rep = (classical_gbar if mode == "classical-analytic" else quantum_gbar)(setup)
     n_sources = sum(1 for p in powers if p > 0)
     n_detectors = len(rep.active_detectors)
-    verdict = bounds.nonclassicality_witness(
-        rep.gbar, n_sources, n_detectors, stderr=rep.stderr, batches=rep.batches
-    )
-    # a pruned enumeration is biased by an amount no stderr measures
-    if rep.pruned_mass:
-        verdict = dataclasses.replace(verdict, classification=bounds.INCONCLUSIVE)
+    verdict = bounds.nonclassicality_witness(rep, n_sources, n_detectors)
     witness = {**verdict.to_dict(), "n_sources": n_sources, "n_detectors": n_detectors}
     summary = [f"gbar = {rep.gbar:.12g} ({rep.provenance})", verdict.one_line()]
     return {"correlations": rep.to_dict(), "witness": witness}, summary
@@ -182,7 +176,7 @@ def _run_divisibility(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     rep = quantum_gbar(setup)
     if len(rep.active_detectors) != setup.n_modes:
         raise PreconditionError("every output must receive light for the divisibility test")
-    verdict = bounds.divisibility_witness(rep.gbar, setup.n_modes, shared_eta, stderr=rep.stderr)
+    verdict = bounds.divisibility_witness(rep, setup.n_modes, shared_eta)
     results = {
         "correlations": rep.to_dict(),
         "eta": shared_eta,
@@ -214,10 +208,7 @@ def _run_bounds(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
         f"\t{r['divisibility_threshold']:.12g}"
         for r in rows
     ]
-    table_out = fields.optional("table_out")
-    if table_out:
-        with open(table_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    fields.optional("table_out")  # main writes the table, once the report is out
     return {"thresholds": rows}, lines
 
 
@@ -269,26 +260,24 @@ def _run_ingest(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     records, rejected = read_shot_records(
         fields.read("records_file"), delimiter=fields.read("delimiter", default=None)
     )
-    full_report = correlation_report_from_records(records, batches=fields.read("batches", int, 100))
-    estimate = GbarEstimate.from_report(full_report, len(records))
-    n_detectors = len(estimate.active_detectors)
+    rep = correlation_report_from_records(records, batches=fields.read("batches", int, 100))
+    n_detectors = len(rep.active_detectors)
     n_sources = fields.read("n_sources", int, None)
     fields["n_sources_assumed"] = n_sources is None
     # without a declared source count, N >= M gives the lowest (most
     # conservative) classical bound, so no false certification is possible
     if n_sources is None:
         n_sources = fields["n_sources"] = n_detectors
-    verdict = bounds.nonclassicality_witness(
-        estimate.gbar, n_sources, n_detectors, stderr=estimate.stderr, batches=full_report.batches
-    )
+    verdict = bounds.nonclassicality_witness(rep, n_sources, n_detectors)
+    correlations = rep.to_dict()
     results = {
-        "estimate": estimate.to_dict(),
-        "correlations": full_report.to_dict(),
+        "estimate": {key: correlations[key] for key in ("gbar", "stderr", "shots", "active_detectors")},
+        "correlations": correlations,
         "rejected_records": rejected,
         "witness": verdict.to_dict(),
     }
     summary = [
-        f"gbar = {estimate.gbar:.12g} +- {estimate.stderr:.3g} from {estimate.shots} shots"
+        f"gbar = {rep.gbar:.12g} +- {rep.stderr:.3g} from {rep.shots} shots"
         + (f" ({rejected} rejected)" if rejected else ""),
         verdict.one_line(),
     ]
@@ -352,12 +341,16 @@ def main(argv=None) -> int:
         print(f"{'engine' if engine else 'config'} error: {exc}", file=sys.stderr)
         return EXIT_ENGINE if engine else EXIT_CONFIG
 
-    if args.out:
+    # the bounds table is that mode's summary, written only after the report
+    table = report["config"].get("table_out"), "\n".join(summary) + "\n"
+    for path, content in ((args.out, text), table):
+        if not path:
+            continue
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
         except OSError as exc:
-            print(f"config error: cannot write {args.out!r}: {exc}", file=sys.stderr)
+            print(f"config error: cannot write {path!r}: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     for line in summary:
         print(line)

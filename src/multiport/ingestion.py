@@ -38,33 +38,6 @@ class ShotRecord:
         object.__setattr__(self, "intensities", arr)
 
 
-@dataclass(frozen=True)
-class GbarEstimate:
-    """Pair-average estimate from measured shots.
-
-    Invariant under rescaling all intensities by a common constant, so the
-    detectors' (shared) units never matter.
-    """
-
-    gbar: float
-    stderr: float
-    shots: int
-    active_detectors: tuple[int, ...]
-
-    @classmethod
-    def from_report(cls, report: CorrelationReport, shots: int) -> GbarEstimate:
-        """The summary of a measured report built from ``shots`` records."""
-        return cls(report.gbar, report.stderr, shots, report.active_detectors)
-
-    def to_dict(self) -> dict:
-        return {
-            "gbar": self.gbar,
-            "stderr": self.stderr,
-            "shots": self.shots,
-            "active_detectors": list(self.active_detectors),
-        }
-
-
 def correlation_report_from_records(
     records: Sequence[ShotRecord], batches: int = DEFAULT_BATCHES
 ) -> CorrelationReport:
@@ -82,10 +55,11 @@ def correlation_report_from_records(
 
 def estimate_gbar_from_records(
     records: Sequence[ShotRecord], batches: int = DEFAULT_BATCHES
-) -> GbarEstimate:
-    """Estimate the pair average and its standard error from shot records."""
-    report = correlation_report_from_records(records, batches=batches)
-    return GbarEstimate.from_report(report, len(records))
+) -> CorrelationReport:
+    """The pair average of shot records, with its ``stderr``, ``shots`` and
+    ``active_detectors``: the report of :func:`correlation_report_from_records`.
+    It does not change when all intensities are rescaled by a common constant."""
+    return correlation_report_from_records(records, batches=batches)
 
 
 def _number(field: str) -> float | None:

@@ -10,7 +10,7 @@ share one batch estimator, :func:`report_from_batches`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,10 +31,12 @@ class CorrelationReport:
     ``detectors`` lists the monitored output indices (aligned with
     ``intensity_means``); ``active_detectors`` is the subset that survived
     exclusion, and ``pair_ratios`` holds (i, j, ratio) for active i < j.
-    ``gbar`` is the arithmetic mean of the ratios. Deterministic
-    diagnostics: ``batches`` is the number of batches behind a batch-means
+    ``gbar`` is the arithmetic mean of the ratios. The fields that default to
+    ``None`` are deterministic diagnostics, written only when set: ``shots``
+    and ``batches`` count the shots and batches behind a batch-means
     ``stderr``; the oracle records its kept product ``configurations`` and the
-    ``pruned_mass`` of the ones it skipped.
+    ``pruned_mass`` of the ones it skipped. A report is the input of the
+    witnesses in :mod:`multiport.bounds`, which read its diagnostics.
     """
 
     detectors: tuple[int, ...]
@@ -47,6 +49,7 @@ class CorrelationReport:
     pruned_mass: float | None = None
     batches: int | None = None
     configurations: int | None = None
+    shots: int | None = None
 
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
@@ -66,11 +69,9 @@ class CorrelationReport:
             "gbar": self.gbar,
             "provenance": self.provenance,
         }
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
-        for key in ("pruned_mass", "batches", "configurations"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
+        for f in fields(self):
+            if f.default is None and getattr(self, f.name) is not None:
+                out[f.name] = getattr(self, f.name)
         return out
 
     def to_table(self) -> str:
@@ -108,11 +109,8 @@ def assemble_report(
     means: np.ndarray,
     products: np.ndarray,
     provenance: str,
-    stderr: float | None = None,
-    pruned_mass: float | None = None,
     energy_scale: float = 1.0,
-    batches: int | None = None,
-    configurations: int | None = None,
+    **diagnostics,
 ) -> CorrelationReport:
     """Apply detector exclusion and average the normalized pair products.
 
@@ -120,14 +118,16 @@ def assemble_report(
     ``detectors``/``means``; the diagonal and lower triangle are not read.
     Means and products are at unit energy scale, which the ratios do not
     depend on; the report's intensity means are ``energy_scale * means``.
-    ``stderr`` and the diagnostics pass to the report unchanged.
+    ``diagnostics`` (``stderr``, ``shots``, ...) pass to the report unchanged.
     """
     detectors = tuple(int(d) for d in detectors)
     means = np.asarray(means, dtype=float)
     active = active_positions(means)
     a, b = _pairs(active)
     ratios = products[a, b] / (means[a] * means[b])
-    scaled = energy_scale * means
+    # a mean past the largest float is refused where the report is written
+    with np.errstate(over="ignore"):
+        scaled = energy_scale * means
     scaled.setflags(write=False)
     return CorrelationReport(
         detectors=detectors,
@@ -138,10 +138,7 @@ def assemble_report(
         ),
         gbar=float(ratios.mean()),
         provenance=provenance,
-        stderr=stderr,
-        pruned_mass=pruned_mass,
-        batches=batches,
-        configurations=configurations,
+        **diagnostics,
     )
 
 
@@ -185,7 +182,8 @@ def report_from_batches(
 
     Each block holds the (shots x M) detector intensities of one batch; only
     its sums of intensities and intensity products are kept, so a generator
-    of blocks holds one batch at a time. The report records the batch count.
+    of blocks holds one batch at a time. The report records the shot and
+    batch counts.
     Monte Carlo and measured records share this estimator.
     """
     sums, products, counts = [], [], []
@@ -205,4 +203,5 @@ def report_from_batches(
         stderr=batch_stderr(per_batch),
         energy_scale=energy_scale,
         batches=int(sizes.size),
+        shots=int(shots),
     )

@@ -5,13 +5,17 @@ from multiport import (
     DimensionError,
     InvalidStatisticsError,
     PreconditionError,
+    QuantumSetup,
     classical_min,
+    coherent,
     divisibility_threshold,
     divisibility_witness,
+    eta,
     fixed_source,
     ftm,
     mc_estimate_gbar,
     nonclassicality_witness,
+    oracle_gbar,
     symmetric_quantum_min,
 )
 from multiport.bounds import MIN_CERTIFY_BATCHES
@@ -214,3 +218,26 @@ def test_library_witness_never_certifies_few_batches_at_the_bound(batches):
         verdict = nonclassicality_witness(rep.gbar, 2, 2, stderr=rep.stderr, batches=rep.batches)
         certified += verdict.classification == "nonclassical"
     assert certified == 0
+
+
+def test_report_supplies_its_own_stderr_and_batches():
+    hom = ClassicalSetup(ftm(2).matrix, (fixed_source(1.0), fixed_source(1.0)))
+    rep = mc_estimate_gbar(hom, 300, 0, batches=5)
+    for witness, args in ((nonclassicality_witness, (2, 2)), (divisibility_witness, (2, 1.0))):
+        scalar = witness(rep.gbar, *args, stderr=rep.stderr, batches=rep.batches)
+        assert witness(rep, *args) == scalar
+        for extra in ({"stderr": rep.stderr}, {"batches": rep.batches}):
+            with pytest.raises(PreconditionError):
+                witness(rep, *args, **extra)
+
+
+def test_pruned_oracle_report_never_certifies():
+    # two coherent inputs sit exactly on the bound 1/2; pruning biases the
+    # oracle's gbar to just below it, so the bare number certifies falsely
+    light = coherent(1, 40)
+    rep = oracle_gbar(QuantumSetup(ftm(2), (light, light)), photon_limit=80)
+    assert rep.pruned_mass > 0 and rep.gbar < 0.5
+    assert nonclassicality_witness(rep.gbar, 2, 2).classification == "nonclassical"
+    assert nonclassicality_witness(rep, 2, 2).classification == "inconclusive"
+    assert divisibility_witness(rep.gbar, 2, eta(light)).classification == "indivisible-certified"
+    assert divisibility_witness(rep, 2, eta(light)).classification == "inconclusive"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,15 @@ def test_bounds_table(tmp_path):
     lines = table_path.read_text().strip().splitlines()
     assert lines[0].startswith("m\t")
     assert len(lines) == 10
+
+
+def test_bounds_table_is_not_written_when_the_report_is_not(tmp_path, capsys):
+    table_path = tmp_path / "table.tsv"
+    config = write_config(tmp_path, {"mode": "bounds", "table_out": str(table_path)})
+    code = main(["--config", config, "--out", str(tmp_path / "missing" / "report.json")])
+    assert code == EXIT_CONFIG
+    assert not table_path.exists()
+    assert capsys.readouterr().err.startswith("config error: cannot write")
 
 
 def test_optimize_mode(tmp_path):
@@ -474,6 +487,23 @@ def test_overflowing_intensity_mean_exits_config_error(tmp_path):
     code, _, out_path = run_cli(tmp_path, payload)
     assert code == EXIT_CONFIG
     assert not out_path.exists()
+
+
+def test_overflowing_intensity_mean_prints_one_error_line(tmp_path):
+    # a fresh process, so any warning numpy prints reaches stderr
+    config = write_config(tmp_path, {
+        "mode": "classical-analytic",
+        "interferometer": {"ftm": 2},
+        "sources": [{"kind": "fixed", "amplitude": 2}, {"kind": "fixed", "amplitude": 2}],
+        "energy_scale": 1e308,
+    })
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiport", "--config", config],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
 
 
 def test_huge_energy_scale_keeps_scale_free_ratios(tmp_path):
