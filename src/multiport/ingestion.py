@@ -38,6 +38,20 @@ class ShotRecord:
         object.__setattr__(self, "intensities", arr)
 
 
+@dataclass(frozen=True)
+class GbarEstimate:
+    """Pair-average estimate from measured shots.
+
+    Invariant under rescaling all intensities by a common constant, so the
+    detectors' (shared) units never matter.
+    """
+
+    gbar: float
+    stderr: float
+    shots: int
+    active_detectors: tuple[int, ...]
+
+
 def correlation_report_from_records(
     records: Sequence[ShotRecord], batches: int = DEFAULT_BATCHES
 ) -> CorrelationReport:
@@ -55,11 +69,11 @@ def correlation_report_from_records(
 
 def estimate_gbar_from_records(
     records: Sequence[ShotRecord], batches: int = DEFAULT_BATCHES
-) -> CorrelationReport:
-    """The pair average of shot records, with its ``stderr``, ``shots`` and
-    ``active_detectors``: the report of :func:`correlation_report_from_records`.
-    It does not change when all intensities are rescaled by a common constant."""
-    return correlation_report_from_records(records, batches=batches)
+) -> GbarEstimate:
+    """The summary of :func:`correlation_report_from_records`, whose report is
+    what the witnesses take in place of ``gbar``."""
+    report = correlation_report_from_records(records, batches=batches)
+    return GbarEstimate(report.gbar, report.stderr, report.shots, report.active_detectors)
 
 
 def _number(field: str) -> float | None:

@@ -127,6 +127,18 @@ def test_bounds_table_is_not_written_when_the_report_is_not(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: cannot write")
 
 
+def test_unwritable_bounds_table_exits_config_error_after_the_report(tmp_path, capsys):
+    table_path = tmp_path / "missing" / "table.tsv"
+    payload = {"mode": "bounds", "table_out": str(table_path)}
+    code, report, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_CONFIG
+    assert not table_path.exists()
+    # the table comes after the report, so the report is already complete
+    assert report["config"]["table_out"] == str(table_path)
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write") and err.count("\n") == 1
+
+
 def test_optimize_mode(tmp_path):
     payload = {"mode": "optimize", "n_sources": 2, "n_detectors": 2, "restarts": 5, "seed": 7}
     code, report, _ = run_cli(tmp_path, payload)
