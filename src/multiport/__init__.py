@@ -17,8 +17,6 @@ from .bounds import (
 from .classical_engine import (
     ClassicalSetup,
     classical_gbar,
-    classical_intensity_means,
-    classical_pair_correlator,
     mc_estimate_gbar,
 )
 from .errors import (
@@ -42,7 +40,6 @@ from .ingestion import (
     read_shot_records,
 )
 from .interferometer import (
-    TransferValidation,
     UnitaryMatrix,
     direct_sum,
     ftm,
@@ -51,7 +48,6 @@ from .interferometer import (
     matrix_to_text,
     random_unitary,
     save_matrix,
-    validate_transfer,
 )
 from .optimizer import (
     FrameInequalities,
@@ -66,11 +62,8 @@ from .optimizer import (
 )
 from .quantum_engine import (
     QuantumSetup,
-    fock_oracle_pair_correlator,
     oracle_gbar,
     quantum_gbar,
-    quantum_intensity_means,
-    quantum_pair_correlator,
 )
 from .report import CorrelationReport
 from .sources import (
@@ -113,17 +106,14 @@ __all__ = [
     "PsiConfiguration",
     "QuantumSetup",
     "ShotRecord",
-    "TransferValidation",
     "TruncationError",
     "UndefinedEtaError",
     "UnitaryMatrix",
     "WitnessVerdict",
     "check_frame_inequalities",
     "classical_gbar",
-    "classical_intensity_means",
     "classical_min",
     "classical_moments",
-    "classical_pair_correlator",
     "classical_source_from_record",
     "correlation_report_from_records",
     "coherent",
@@ -134,7 +124,6 @@ __all__ = [
     "eta",
     "fixed_source",
     "fock",
-    "fock_oracle_pair_correlator",
     "ftm",
     "gbar_gradient",
     "gbar_objective",
@@ -151,13 +140,10 @@ __all__ = [
     "photon_statistics_from_record",
     "pseudo_thermal_source",
     "quantum_gbar",
-    "quantum_intensity_means",
-    "quantum_pair_correlator",
     "random_unitary",
     "read_shot_records",
     "save_matrix",
     "squeezed_vacuum",
     "symmetric_quantum_min",
     "thermal",
-    "validate_transfer",
 ]

@@ -17,7 +17,7 @@ from .errors import DimensionError, InvalidStatisticsError, PreconditionError
 from .report import CorrelationReport
 
 # Certification requires the margin to exceed this many standard errors when
-# an uncertainty is supplied; a conservative documented default.
+# an uncertainty is supplied; the one rule, not a parameter.
 SIGMA_RULE = 3.0
 
 # A verdict whose stderr is a batch-means estimate certifies only when it rests
@@ -113,7 +113,6 @@ def _verdict(
     threshold: float,
     stderr: float | None,
     certified: str,
-    sigma: float,
     batches: int | None,
 ) -> WitnessVerdict:
     pruned_mass = None
@@ -130,7 +129,7 @@ def _verdict(
     else:
         if stderr > 0:
             sigmas = margin / stderr
-        if abs(margin) <= max(sigma * stderr, BOUNDARY_MARGIN):
+        if abs(margin) <= max(SIGMA_RULE * stderr, BOUNDARY_MARGIN):
             classification = INCONCLUSIVE
         elif margin > 0:
             classification = certified
@@ -155,7 +154,6 @@ def nonclassicality_witness(
     n_sources: int,
     n_detectors: int,
     stderr: float | None = None,
-    sigma: float = SIGMA_RULE,
     batches: int | None = None,
 ) -> WitnessVerdict:
     """Compare a pair average against the classical bound for (N, M).
@@ -171,7 +169,7 @@ def nonclassicality_witness(
     about batches or pruning unless they are passed with it.
     """
     threshold = classical_min(n_sources, n_detectors)
-    return _verdict(gbar, threshold, stderr, NONCLASSICAL, sigma, batches)
+    return _verdict(gbar, threshold, stderr, NONCLASSICAL, batches)
 
 
 def divisibility_witness(
@@ -179,7 +177,6 @@ def divisibility_witness(
     n_modes: int,
     eta: float,
     stderr: float | None = None,
-    sigma: float = SIGMA_RULE,
     batches: int | None = None,
 ) -> WitnessVerdict:
     """Compare a pair average against the two-block divisibility threshold.
@@ -194,4 +191,4 @@ def divisibility_witness(
             "the divisibility criterion is stated for sub-Poissonian inputs (eta >= 0)"
         )
     threshold = divisibility_threshold(n_modes, eta)
-    return _verdict(gbar, threshold, stderr, INDIVISIBLE, sigma, batches)
+    return _verdict(gbar, threshold, stderr, INDIVISIBLE, batches)

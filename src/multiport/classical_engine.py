@@ -1,10 +1,10 @@
 """Classical stochastic-field engine.
 
-Computes mean intensities, pair products <I_i I_j>, and their normalized
-average for fields A_a with independent uniform random phases propagated by a
-complex transfer matrix. Both a closed-form evaluation and a seeded Monte
-Carlo sampler are provided; they estimate the same quantities and serve as
-cross-checks of one another.
+Reports the mean intensities and the normalized pair products
+<I_i I_j> / (<I_i> <I_j>) of fields A_a with independent uniform random phases
+propagated by a complex transfer matrix. Both a closed-form evaluation and a
+seeded Monte Carlo sampler are provided; they estimate the same quantities and
+serve as cross-checks of one another.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import DimensionError
 from .interferometer import as_complex_matrix
-from .report import CorrelationReport, assemble_report, batch_sizes, report_from_batches
+from .report import (
+    DEFAULT_BATCHES,
+    CorrelationReport,
+    assemble_report,
+    batch_sizes,
+    report_from_batches,
+)
 from .sources import ClassicalSource, OverlapMatrix, classical_moments
 
 
@@ -93,37 +99,15 @@ def _pair_matrix(
     return means, np.outer(means, means) + (interference + fluctuation)
 
 
-def _closed_form(setup: ClassicalSetup) -> tuple[np.ndarray, np.ndarray]:
+def classical_gbar(setup: ClassicalSetup) -> CorrelationReport:
+    """Closed-form normalized pair average over all active detectors.
+
+    The report is the engine's answer: it holds the intensity means and every
+    pair ratio, so <I_i I_j> = ratio * mean_i * mean_j.
+    """
     moments = np.array([classical_moments(s) for s in setup.sources])
     m2, m4 = moments[:, 0], moments[:, 1]
-    return _pair_matrix(setup.transfer, m2, m4 - m2**2, setup.overlap)
-
-
-def classical_intensity_means(setup: ClassicalSetup) -> np.ndarray:
-    """Mean intensity per detector: E * sum_a |T_ia|^2 <|A_a|^2>."""
-    return setup.energy_scale * _closed_form(setup)[0]
-
-
-def classical_pair_correlator(setup: ClassicalSetup, i: int, j: int) -> float:
-    """Mean intensity product <I_i I_j> for detectors i != j.
-
-    Three contributions: the uncorrelated product, the two-source
-    interference term (scaled by |V_ab|^2 when an overlap matrix is present),
-    and a nonnegative term from per-source intensity fluctuations that
-    vanishes for fixed-intensity sources.
-    """
-    m = setup.n_detectors
-    if not (0 <= i < m and 0 <= j < m):
-        raise DimensionError(f"detector indices ({i}, {j}) out of range for {m} outputs")
-    if i == j:
-        raise DimensionError("pair correlator needs two distinct detectors")
-    e = setup.energy_scale
-    return e * e * float(_closed_form(setup)[1][i, j])
-
-
-def classical_gbar(setup: ClassicalSetup) -> CorrelationReport:
-    """Closed-form normalized pair average over all active detectors."""
-    means, products = _closed_form(setup)
+    means, products = _pair_matrix(setup.transfer, m2, m4 - m2**2, setup.overlap)
     return assemble_report(
         range(setup.n_detectors), means, products, "analytic", energy_scale=setup.energy_scale
     )
@@ -162,7 +146,7 @@ def _intensities(setup: ClassicalSetup, fields: np.ndarray, modes: np.ndarray | 
 
 
 def mc_estimate_gbar(
-    setup: ClassicalSetup, shots: int, seed: int, batches: int = 100
+    setup: ClassicalSetup, shots: int, seed: int, batches: int = DEFAULT_BATCHES
 ) -> CorrelationReport:
     """Monte Carlo estimate of the normalized pair average.
 

@@ -34,6 +34,7 @@ from .quantum_engine import (
     oracle_gbar,
     quantum_gbar,
 )
+from .report import DEFAULT_BATCHES
 from .sources import (
     OverlapMatrix,
     classical_moments,
@@ -150,7 +151,8 @@ def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     if mode == "classical-mc":
         shots = fields.read("shots", int)
         seed = fields.read("seed", int, 0)
-        rep = mc_estimate_gbar(setup, shots, seed, batches=fields.read("batches", int, 100))
+        batches = fields.read("batches", int, DEFAULT_BATCHES)
+        rep = mc_estimate_gbar(setup, shots, seed, batches=batches)
     elif mode == "oracle":
         photon_limit = fields.read("photon_limit", int, DEFAULT_PHOTON_LIMIT)
         prune_tol = fields.read("prune_tol", float, DEFAULT_PRUNE_TOL)
@@ -260,7 +262,8 @@ def _run_ingest(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     records, rejected = read_shot_records(
         fields.read("records_file"), delimiter=fields.read("delimiter", default=None)
     )
-    rep = correlation_report_from_records(records, batches=fields.read("batches", int, 100))
+    batches = fields.read("batches", int, DEFAULT_BATCHES)
+    rep = correlation_report_from_records(records, batches=batches)
     n_detectors = len(rep.active_detectors)
     n_sources = fields.read("n_sources", int, None)
     fields["n_sources_assumed"] = n_sources is None
@@ -269,10 +272,8 @@ def _run_ingest(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     if n_sources is None:
         n_sources = fields["n_sources"] = n_detectors
     verdict = bounds.nonclassicality_witness(rep, n_sources, n_detectors)
-    correlations = rep.to_dict()
     results = {
-        "estimate": {key: correlations[key] for key in ("gbar", "stderr", "shots", "active_detectors")},
-        "correlations": correlations,
+        "correlations": rep.to_dict(),
         "rejected_records": rejected,
         "witness": verdict.to_dict(),
     }

@@ -15,10 +15,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientSamplesError, MatrixValidationError
-from .report import CorrelationReport, batch_sizes, report_from_batches
+from .report import DEFAULT_BATCHES, CorrelationReport, batch_sizes, report_from_batches
 
 MIN_RECORDS = 100
-DEFAULT_BATCHES = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,15 +116,13 @@ def read_shot_records(
             else:
                 rejected += 1
             continue
-        values = np.array(fields)
         if n_columns is None:
-            n_columns = values.size
-        if (
-            values.size != n_columns
-            or not np.all(np.isfinite(values))
-            or np.any(values < 0)
-        ):
+            n_columns = len(fields)
+        if len(fields) != n_columns:
             rejected += 1
             continue
-        records.append(ShotRecord(shot_id=len(records), intensities=values))
+        try:
+            records.append(ShotRecord(shot_id=len(records), intensities=fields))
+        except MatrixValidationError:  # a negative or non-finite intensity
+            rejected += 1
     return records, rejected

@@ -107,33 +107,6 @@ def random_unitary(m: int, seed: int) -> UnitaryMatrix:
     return UnitaryMatrix(q * (d / np.abs(d)))
 
 
-@dataclass(frozen=True)
-class TransferValidation:
-    """Outcome of a physicality check on a classical transfer matrix."""
-
-    max_singular_value: float
-    physical: bool
-    message: str | None = None
-
-
-def validate_transfer(transfer) -> TransferValidation:
-    """Check a transfer matrix for finiteness and passive (non-amplifying) gain.
-
-    Any finite matrix is accepted by the classical engine; matrices whose
-    largest singular value exceeds 1 amplify energy and are only flagged,
-    since the classical bound holds for arbitrary linear maps.
-    """
-    arr = as_complex_matrix(transfer, "transfer matrix")
-    smax = float(np.linalg.svd(arr, compute_uv=False)[0])
-    if smax > 1.0 + UNITARITY_TOL:
-        return TransferValidation(
-            smax,
-            physical=False,
-            message=f"largest singular value {smax:.6g} > 1: gain is unphysical",
-        )
-    return TransferValidation(smax, physical=True)
-
-
 def matrix_to_text(matrix) -> str:
     """Serialize a matrix: 'rows cols' line, then rows of 're im' pairs.
 

@@ -60,37 +60,17 @@ class QuantumSetup:
         return self.unitary.dim
 
 
-def _closed_form(setup: QuantumSetup) -> tuple[np.ndarray, np.ndarray]:
+def quantum_gbar(setup: QuantumSetup) -> CorrelationReport:
+    """Closed-form normalized pair average over the active monitored detectors.
+
+    The per-source term carries variance minus mean, negative exactly for
+    sub-Poissonian statistics; that term lets quantum inputs beat the
+    classical bound.
+    """
     nbar = np.array([q.mean for q in setup.stats])
     var = np.array([q.variance for q in setup.stats])
     rows = setup.unitary.matrix[list(setup.detectors)]
-    return _pair_matrix(rows, nbar, var - nbar)
-
-
-def quantum_intensity_means(setup: QuantumSetup) -> np.ndarray:
-    """Mean intensity per monitored detector: E * sum_a |U_ia|^2 <n_a>."""
-    return setup.energy_scale * _closed_form(setup)[0]
-
-
-def quantum_pair_correlator(setup: QuantumSetup, i: int, j: int) -> float:
-    """Mean intensity product <I_i I_j> for monitored output modes i != j.
-
-    The per-source contribution carries variance minus mean, so it is
-    negative exactly for sub-Poissonian statistics; that negative term is
-    what lets quantum inputs beat the classical bound.
-    """
-    if i == j:
-        raise DimensionError("pair correlator needs two distinct detectors")
-    if i not in setup.detectors or j not in setup.detectors:
-        raise DimensionError(f"detectors ({i}, {j}) are not monitored")
-    pos = setup.detectors.index
-    e = setup.energy_scale
-    return e * e * float(_closed_form(setup)[1][pos(i), pos(j)])
-
-
-def quantum_gbar(setup: QuantumSetup) -> CorrelationReport:
-    """Closed-form normalized pair average over the active monitored detectors."""
-    means, products = _closed_form(setup)
+    means, products = _pair_matrix(rows, nbar, var - nbar)
     return assemble_report(
         setup.detectors, means, products, "analytic", energy_scale=setup.energy_scale
     )
@@ -114,30 +94,6 @@ def _lowered_norms(occ: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     together = (rows[i] * rows[j]) * np.sqrt(n * (n - 1))[:, None, :]
     amps = np.concatenate([apart, together], axis=-1)
     return (x.conj() * x).real.sum(-1), (amps.conj() * amps).real.sum(-1)
-
-
-def fock_oracle_pair_correlator(
-    unitary: UnitaryMatrix,
-    occupation,
-    i: int,
-    j: int,
-    energy_scale: float = 1.0,
-    photon_limit: int = DEFAULT_PHOTON_LIMIT,
-) -> float:
-    """Brute-force <I_i I_j> for a Fock input |n_1 ... n_m>: E^2 times the
-    squared norm of b_i b_j |occupation>, built amplitude by amplitude on the
-    lowered Fock states. Independent of the closed form: no moment algebra.
-    """
-    occ = tuple(int(n) for n in occupation)
-    m = unitary.dim
-    if len(occ) != m or min(occ) < 0:
-        raise DimensionError(f"need {m} occupation numbers >= 0, got {occ}")
-    if i == j or not (0 <= i < m and 0 <= j < m):
-        raise DimensionError(f"need two distinct detectors in range, got ({i}, {j})")
-    if sum(occ) > photon_limit:
-        raise OracleLimitError(f"{sum(occ)} photons exceed the oracle budget of {photon_limit}")
-    _, pair = _lowered_norms(np.array([occ]), unitary.matrix[[i, j]])
-    return energy_scale * energy_scale * float(pair[0, 0])
 
 
 # The oracle evaluates configurations in blocks whose amplitude array, complex
@@ -186,7 +142,8 @@ def oracle_gbar(
     Averages the pure-state oracle values over the product photon-number
     distribution a block at a time, checking each block against
     ``photon_limit`` before computing its amplitudes. The report records the
-    kept configurations and the pruned probability mass.
+    kept configurations and the pruned probability mass. Fock inputs keep one
+    configuration, with probability 1: the oracle of that pure state.
     """
     det, m = setup.detectors, setup.n_modes
     rows = setup.unitary.matrix[list(det)]

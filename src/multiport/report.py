@@ -23,6 +23,9 @@ RELATIVE_EXCLUSION = 1e-12
 
 PROVENANCES = ("analytic", "monte-carlo", "oracle", "measured")
 
+# Batches behind a batch-means stderr when the caller names no count.
+DEFAULT_BATCHES = 100
+
 
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:

@@ -6,6 +6,12 @@ import pytest
 import multiport as mp
 
 
+def report_values(report) -> list[float]:
+    """An engine's whole answer, flat: i, j and ratio of each active pair, then
+    every intensity mean. A pair product is <I_i I_j> = ratio * mean_i * mean_j."""
+    return [x for pair in report.pair_ratios for x in pair] + [float(v) for v in report.intensity_means]
+
+
 def random_classical_source(rng, max_levels: int = 4) -> mp.ClassicalSource:
     k = int(rng.integers(1, max_levels + 1))
     probs = rng.dirichlet(np.ones(k))

@@ -140,11 +140,6 @@ def test_margin_below_threshold_with_noise_is_compatible():
     assert verdict.classification == "classical-compatible"
 
 
-def test_sigma_rule_is_configurable():
-    strict = nonclassicality_witness(0.45, 2, 2, stderr=0.03, sigma=1.0)
-    assert strict.classification == "nonclassical"
-
-
 def test_margin_identity():
     for gbar in (0.0, 0.21, 0.5, 0.77):
         verdict = nonclassicality_witness(gbar, 3, 4)

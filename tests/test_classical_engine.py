@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_classical_setup
+from conftest import random_classical_setup, report_values
 
 from multiport import (
     ClassicalSetup,
@@ -11,10 +11,8 @@ from multiport import (
     InsufficientSamplesError,
     OverlapMatrix,
     classical_gbar,
-    classical_intensity_means,
     classical_min,
     classical_moments,
-    classical_pair_correlator,
     fixed_source,
     ftm,
     mc_estimate_gbar,
@@ -32,20 +30,24 @@ def hom_setup(energy_scale=1.0):
 
 
 def test_means_balanced_splitter():
-    assert np.allclose(classical_intensity_means(hom_setup()), [1.0, 1.0], atol=1e-14)
+    assert np.allclose(classical_gbar(hom_setup()).intensity_means, [1.0, 1.0], atol=1e-14)
 
 
 def test_means_single_source_identity():
-    setup = ClassicalSetup(np.eye(2)[:, :1], (fixed_source(1.3),))
-    means = classical_intensity_means(setup)
-    assert means[0] == pytest.approx(1.3**2, abs=1e-14)
-    assert means[1] == 0.0
+    # one lit detector has no pair to report
+    with pytest.raises(DegenerateSetupError):
+        classical_gbar(ClassicalSetup(np.eye(2)[:, :1], (fixed_source(1.3),)))
+    # with a second lit detector the unlit one still reads exactly zero
+    setup = ClassicalSetup(np.array([[1.0], [1.0], [0.0]]), (fixed_source(1.3),))
+    means = classical_gbar(setup).intensity_means
+    assert means[:2] == pytest.approx([1.3**2, 1.3**2], abs=1e-14)
+    assert means[2] == 0.0
 
 
 def test_means_scale_linearly_with_energy():
     assert np.allclose(
-        classical_intensity_means(hom_setup(energy_scale=2.0)),
-        2 * classical_intensity_means(hom_setup()),
+        classical_gbar(hom_setup(energy_scale=2.0)).intensity_means,
+        2 * classical_gbar(hom_setup()).intensity_means,
         atol=1e-14,
     )
 
@@ -61,17 +63,16 @@ def test_ratios_do_not_depend_on_energy_scale(rng, scale):
         assert report.pair_ratios == reference.pair_ratios
         assert report.gbar == reference.gbar and report.stderr == reference.stderr
         assert np.array_equal(report.intensity_means, scale * reference.intensity_means)
-    e = scale
-    assert classical_pair_correlator(scaled, 0, 1) == e * e * classical_pair_correlator(base, 0, 1)
 
 
 # ----------------------------------------------------------- pair correlator
 
 
 def test_hom_pair_correlator_saturates_bound():
-    setup = hom_setup()
-    assert classical_pair_correlator(setup, 0, 1) == pytest.approx(0.5, abs=1e-14)
-    assert classical_gbar(setup).gbar == pytest.approx(0.5, abs=1e-14)
+    # one pair (0, 1) with ratio 1/2, and means 1, 1: <I_0 I_1> = 1/2
+    report = classical_gbar(hom_setup())
+    assert report_values(report) == pytest.approx([0, 1, 0.5, 1.0, 1.0], abs=1e-14)
+    assert report.gbar == pytest.approx(0.5, abs=1e-14)
 
 
 def test_pseudo_thermal_pair_correlator():
@@ -79,12 +80,10 @@ def test_pseudo_thermal_pair_correlator():
     # ratio to 1; exact for the two-point {0, sqrt(2)} ensemble
     two_point = ClassicalSource(np.array([0.5, 0.5]), np.array([0.0, np.sqrt(2.0)]))
     setup = ClassicalSetup(ftm(2).matrix, (two_point, two_point))
-    assert classical_pair_correlator(setup, 0, 1) == pytest.approx(1.0, abs=1e-14)
+    assert report_values(classical_gbar(setup)) == pytest.approx([0, 1, 1.0, 1.0, 1.0], abs=1e-14)
     smooth = pseudo_thermal_source(1.0, levels=48)
     setup2 = ClassicalSetup(ftm(2).matrix, (smooth, smooth))
-    ratio = classical_pair_correlator(setup2, 0, 1) / np.prod(
-        classical_intensity_means(setup2)
-    )
+    (_, _, ratio), = classical_gbar(setup2).pair_ratios
     assert ratio == pytest.approx(1.0, abs=1e-12)
     # sampled cross-check of the same prediction
     mc = mc_estimate_gbar(setup2, shots=10**5, seed=21)
@@ -94,22 +93,14 @@ def test_pseudo_thermal_pair_correlator():
 def test_zero_overlap_kills_interference():
     overlap = OverlapMatrix(np.eye(2))
     setup = ClassicalSetup(ftm(2).matrix, (fixed_source(1.0), fixed_source(1.0)), overlap=overlap)
-    assert classical_pair_correlator(setup, 0, 1) == pytest.approx(1.0, abs=1e-14)
+    assert report_values(classical_gbar(setup)) == pytest.approx([0, 1, 1.0, 1.0, 1.0], abs=1e-14)
 
 
 @pytest.mark.parametrize("v", [0.0, 0.3, 0.7, 1.0])
 def test_overlap_interpolates_hom_dip(v):
     overlap = OverlapMatrix(np.array([[1.0, v], [v, 1.0]]))
     setup = ClassicalSetup(ftm(2).matrix, (fixed_source(1.0), fixed_source(1.0)), overlap=overlap)
-    assert classical_pair_correlator(setup, 0, 1) == pytest.approx(1 - v**2 / 2, abs=1e-12)
-
-
-def test_pair_correlator_index_errors():
-    setup = hom_setup()
-    with pytest.raises(DimensionError):
-        classical_pair_correlator(setup, 0, 0)
-    with pytest.raises(DimensionError):
-        classical_pair_correlator(setup, 0, 5)
+    assert report_values(classical_gbar(setup)) == pytest.approx([0, 1, 1 - v**2 / 2, 1.0, 1.0], abs=1e-12)
 
 
 # ----------------------------------------------------------- gbar

@@ -258,8 +258,9 @@ def test_ingest_mode(tmp_path):
     assert code == EXIT_OK
     assert report["config"]["n_sources_assumed"] is True
     assert report["config"]["n_sources"] == 2
-    estimate = report["results"]["estimate"]
-    assert abs(estimate["gbar"] - 0.5) <= 3 * estimate["stderr"]
+    correlations = report["results"]["correlations"]
+    assert "estimate" not in report["results"]
+    assert abs(correlations["gbar"] - 0.5) <= 3 * correlations["stderr"]
     assert report["results"]["witness"]["classification"] in ("inconclusive", "classical-compatible")
 
 

@@ -56,6 +56,12 @@ def reference_report(detectors, means, pair_product):
     return tuple(detectors[a] for a in active), ratios, gbar
 
 
+def pair_products(report):
+    """(i, j, <I_i I_j>) for each active pair: ratio * mean_i * mean_j."""
+    means = dict(zip(report.detectors, report.intensity_means))
+    return [(i, j, r * means[i] * means[j]) for i, j, r in report.pair_ratios]
+
+
 def assert_matches(report, reference):
     active, ratios, gbar = reference
     assert report.active_detectors == active
@@ -142,12 +148,11 @@ def test_classical_gbar_matches_pair_loop(seed):
         means,
         lambda a, b: reference_classical_pair(setup, a, b)[1],
     )
-    assert_matches(mp.classical_gbar(setup), reference)
-    assert np.max(np.abs(mp.classical_intensity_means(setup) - means)) <= TOL * np.max(means)
-    i, j = (int(k) for k in np.flatnonzero(means)[:2])
-    assert mp.classical_pair_correlator(setup, i, j) == pytest.approx(
-        reference_classical_pair(setup, i, j)[1], rel=TOL
-    )
+    report = mp.classical_gbar(setup)
+    assert_matches(report, reference)
+    assert np.max(np.abs(report.intensity_means - means)) <= TOL * np.max(means)
+    for i, j, product in pair_products(report):
+        assert product == pytest.approx(reference_classical_pair(setup, i, j)[1], rel=TOL)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -159,10 +164,13 @@ def test_quantum_gbar_matches_pair_loop(seed):
     reference = reference_report(
         det, means, lambda a, b: reference_quantum_pair(setup, det[a], det[b])
     )
-    assert_matches(mp.quantum_gbar(setup), reference)
-    assert mp.quantum_pair_correlator(setup, det[0], det[1]) == pytest.approx(
-        reference_quantum_pair(setup, det[0], det[1]), rel=TOL, abs=TOL * np.max(means) ** 2
-    )
+    report = mp.quantum_gbar(setup)
+    assert_matches(report, reference)
+    assert np.max(np.abs(report.intensity_means - means)) <= TOL * np.max(means)
+    for i, j, product in pair_products(report):
+        assert product == pytest.approx(
+            reference_quantum_pair(setup, i, j), rel=TOL, abs=TOL * np.max(means) ** 2
+        )
 
 
 def test_cases_cover_the_required_features():

@@ -12,7 +12,6 @@ from multiport import (
     matrix_from_text,
     matrix_to_text,
     random_unitary,
-    validate_transfer,
 )
 from multiport.interferometer import unitarity_defect
 
@@ -99,24 +98,6 @@ def test_unitary_matrix_rejects_non_unitary():
         UnitaryMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(DimensionError):
         UnitaryMatrix(np.ones((2, 3)))
-
-
-def test_validate_transfer_accepts_ftm():
-    check = validate_transfer(ftm(2).matrix)
-    assert check.physical
-    assert abs(check.max_singular_value - 1.0) < 1e-12
-
-
-def test_validate_transfer_flags_gain():
-    check = validate_transfer(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    assert not check.physical
-    assert abs(check.max_singular_value - 2.0) < 1e-12
-    assert "unphysical" in check.message
-
-
-def test_validate_transfer_rejects_nan():
-    with pytest.raises(MatrixValidationError):
-        validate_transfer(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_matrix_text_round_trip_is_exact():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_quantum_setup_eta_nonpositive
+from conftest import random_quantum_setup_eta_nonpositive, report_values
 
 import multiport.quantum_engine as quantum_engine
 
@@ -19,19 +19,14 @@ from multiport import (
     QuantumSetup,
     UnitaryMatrix,
     classical_gbar,
-    classical_intensity_means,
     classical_min,
-    classical_pair_correlator,
     coherent,
     eta,
     fixed_source,
     fock,
-    fock_oracle_pair_correlator,
     ftm,
     oracle_gbar,
     quantum_gbar,
-    quantum_intensity_means,
-    quantum_pair_correlator,
     random_unitary,
     squeezed_vacuum,
     thermal,
@@ -43,17 +38,35 @@ def hom_setup():
     return QuantumSetup(ftm(2), (fock(1), fock(1)))
 
 
+def assert_routes_agree(setup, rel, abs):
+    """The oracle's pair ratios and means are the closed form's, or, with no
+    light at all, both routes refuse the setup."""
+    if not any(q.mean > 0 for q in setup.stats):
+        for route in (quantum_gbar, oracle_gbar):
+            with pytest.raises(DegenerateSetupError):
+                route(setup)
+        return
+    expected = report_values(quantum_gbar(setup))
+    assert report_values(oracle_gbar(setup)) == pytest.approx(expected, rel=rel, abs=abs)
+
+
 # ----------------------------------------------------------- intensity means
 
 
 def test_means_two_photons_on_splitter():
-    assert np.allclose(quantum_intensity_means(hom_setup()), [1.0, 1.0], atol=1e-14)
+    assert np.allclose(quantum_gbar(hom_setup()).intensity_means, [1.0, 1.0], atol=1e-14)
 
 
 def test_means_identity_routing():
-    # identity unitary keeps photons in their input mode
+    # identity unitary keeps photons in their input mode; one lit detector
+    # has no pair to report, by either route
     setup = QuantumSetup(UnitaryMatrix(np.eye(2)), (fock(2), fock(0)))
-    assert np.allclose(quantum_intensity_means(setup), [2.0, 0.0], atol=1e-14)
+    for route in (quantum_gbar, oracle_gbar):
+        with pytest.raises(DegenerateSetupError):
+            route(setup)
+    setup = QuantumSetup(UnitaryMatrix(np.eye(3)), (fock(2), fock(1), fock(0)))
+    for route in (quantum_gbar, oracle_gbar):
+        assert np.allclose(route(setup).intensity_means, [2.0, 1.0, 0.0], atol=1e-14)
 
 
 def test_means_match_classical_for_coherent(rng):
@@ -62,7 +75,7 @@ def test_means_match_classical_for_coherent(rng):
     qsetup = QuantumSetup(u, stats)
     csetup = ClassicalSetup(u.matrix, tuple(fixed_source(np.sqrt(q.mean)) for q in stats))
     assert np.allclose(
-        quantum_intensity_means(qsetup), classical_intensity_means(csetup), atol=1e-12
+        quantum_gbar(qsetup).intensity_means, classical_gbar(csetup).intensity_means, atol=1e-12
     )
 
 
@@ -70,14 +83,14 @@ def test_means_match_classical_for_coherent(rng):
 
 
 def test_hom_dip_is_exactly_zero():
-    setup = hom_setup()
-    assert quantum_pair_correlator(setup, 0, 1) == pytest.approx(0.0, abs=1e-14)
-    assert quantum_gbar(setup).gbar == pytest.approx(0.0, abs=1e-14)
+    report = quantum_gbar(hom_setup())
+    assert report_values(report) == pytest.approx([0, 1, 0.0, 1.0, 1.0], abs=1e-14)
+    assert report.gbar == pytest.approx(0.0, abs=1e-14)
 
 
 def test_single_photon_cannot_fire_both_detectors():
     setup = QuantumSetup(ftm(2), (fock(1), fock(0)))
-    assert quantum_pair_correlator(setup, 0, 1) == pytest.approx(0.0, abs=1e-14)
+    assert report_values(quantum_gbar(setup)) == pytest.approx([0, 1, 0.0, 0.5, 0.5], abs=1e-14)
 
 
 def test_coherent_inputs_reduce_to_classical():
@@ -86,17 +99,9 @@ def test_coherent_inputs_reduce_to_classical():
         ftm(2).matrix,
         tuple(fixed_source(np.sqrt(q.mean)) for q in setup.stats),
     )
-    assert quantum_pair_correlator(setup, 0, 1) == pytest.approx(
-        classical_pair_correlator(classical, 0, 1), abs=1e-12
+    assert report_values(quantum_gbar(setup)) == pytest.approx(
+        report_values(classical_gbar(classical)), abs=1e-12
     )
-
-
-def test_pair_correlator_requires_monitored_distinct():
-    setup = QuantumSetup(ftm(3), (fock(1),) * 3, detectors=(0, 1))
-    with pytest.raises(DimensionError):
-        quantum_pair_correlator(setup, 0, 0)
-    with pytest.raises(DimensionError):
-        quantum_pair_correlator(setup, 0, 2)
 
 
 # ----------------------------------------------------------- gbar
@@ -192,11 +197,14 @@ def test_super_poissonian_inputs_respect_classical_bound(rng):
 
 
 def test_oracle_hom_bunching():
-    assert fock_oracle_pair_correlator(ftm(2), (1, 1), 0, 1) == pytest.approx(0.0, abs=1e-14)
+    report = oracle_gbar(hom_setup())
+    assert report.configurations == 1
+    assert report_values(report) == pytest.approx([0, 1, 0.0, 1.0, 1.0], abs=1e-14)
 
 
 def test_oracle_single_photon():
-    assert fock_oracle_pair_correlator(ftm(2), (1, 0), 0, 1) == pytest.approx(0.0, abs=1e-14)
+    report = oracle_gbar(QuantumSetup(ftm(2), (fock(1), fock(0))))
+    assert report_values(report) == pytest.approx([0, 1, 0.0, 0.5, 0.5], abs=1e-14)
 
 
 def test_oracle_matches_formula_on_random_instances(rng):
@@ -206,10 +214,8 @@ def test_oracle_matches_formula_on_random_instances(rng):
         occupation = tuple(int(n) for n in rng.integers(0, 3, m))
         stats = tuple(fock(n) for n in occupation)
         setup = QuantumSetup(u, stats)
-        i, j = rng.choice(m, size=2, replace=False)
-        formula = quantum_pair_correlator(setup, int(i), int(j))
-        oracle = fock_oracle_pair_correlator(u, occupation, int(i), int(j))
-        assert abs(formula - oracle) <= 1e-10 * max(1.0, abs(formula), abs(oracle))
+        rng.choice(m, size=2, replace=False)  # a detector pair, drawn so the instances stay the same
+        assert_routes_agree(setup, rel=1e-10, abs=1e-10)
 
 
 def test_oracle_equivalence_exhaustive_small_instances():
@@ -221,24 +227,19 @@ def test_oracle_equivalence_exhaustive_small_instances():
             if sum(occ) <= 4
         ]
         for occ in occupations:
-            setup = QuantumSetup(u, tuple(fock(n) for n in occ))
-            for i in range(m):
-                for j in range(i + 1, m):
-                    formula = quantum_pair_correlator(setup, i, j)
-                    oracle = fock_oracle_pair_correlator(u, occ, i, j)
-                    assert abs(formula - oracle) <= 1e-10 * max(1.0, abs(formula))
+            assert_routes_agree(QuantumSetup(u, tuple(fock(n) for n in occ)), rel=1e-10, abs=1e-10)
 
 
 def test_oracle_budget_and_validation():
+    setup = QuantumSetup(ftm(2), (fock(4), fock(4)))
     with pytest.raises(OracleLimitError):
-        fock_oracle_pair_correlator(ftm(2), (4, 4), 0, 1)
+        oracle_gbar(setup)
     # budget is configurable
-    value = fock_oracle_pair_correlator(ftm(2), (4, 4), 0, 1, photon_limit=8)
-    assert value > 0
+    assert oracle_gbar(setup, photon_limit=8).gbar > 0
     with pytest.raises(DimensionError):
-        fock_oracle_pair_correlator(ftm(2), (1, 1, 1), 0, 1)
+        QuantumSetup(ftm(2), (fock(1),) * 3)
     with pytest.raises(DimensionError):
-        fock_oracle_pair_correlator(ftm(2), (1, 1), 1, 1)
+        QuantumSetup(ftm(2), (fock(1), fock(1)), detectors=(1, 1))
 
 
 def test_oracle_gbar_single_photons():
@@ -271,7 +272,6 @@ def test_ratios_do_not_depend_on_energy_scale(scale):
         reference, report = run(base), run(scaled)
         assert report.pair_ratios == reference.pair_ratios
         assert np.array_equal(report.intensity_means, scale * reference.intensity_means)
-    assert np.array_equal(quantum_intensity_means(scaled), scale * quantum_intensity_means(base))
 
 
 # ----------------------------------------------------------- reference oracle
@@ -384,10 +384,16 @@ def test_kernel_matches_reference_on_every_small_fock_state(m):
 def test_public_pair_correlator_matches_reference():
     u = random_unitary(4, 77)
     for occ in itertools.product(range(3), repeat=4):
-        for i, j in itertools.permutations(range(4), 2):
-            expected = 2.5**2 * reference_pair(u.matrix, occ, i, j)
-            value = fock_oracle_pair_correlator(u, occ, i, j, energy_scale=2.5, photon_limit=8)
-            assert value == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        setup = QuantumSetup(u, tuple(fock(n) for n in occ), energy_scale=2.5)
+        if not any(occ):
+            for route in (oracle_gbar, reference_oracle):
+                with pytest.raises(DegenerateSetupError):
+                    route(setup, photon_limit=8)
+            continue
+        report = oracle_gbar(setup, photon_limit=8)
+        assert report.configurations == 1 and report.pruned_mass == 0.0
+        expected = report_values(reference_oracle(setup, photon_limit=8))
+        assert report_values(report) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 def three_mixed_sources():
