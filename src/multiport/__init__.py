@@ -71,13 +71,11 @@ from .sources import (
     OverlapMatrix,
     PhotonStatistics,
     classical_moments,
-    classical_source_from_record,
     coherent,
     eta,
     fixed_source,
     fock,
     is_sub_poissonian,
-    photon_statistics_from_record,
     pseudo_thermal_source,
     squeezed_vacuum,
     thermal,
@@ -114,7 +112,6 @@ __all__ = [
     "classical_gbar",
     "classical_min",
     "classical_moments",
-    "classical_source_from_record",
     "correlation_report_from_records",
     "coherent",
     "direct_sum",
@@ -137,7 +134,6 @@ __all__ = [
     "nonclassicality_witness",
     "optimal_configuration",
     "oracle_gbar",
-    "photon_statistics_from_record",
     "pseudo_thermal_source",
     "quantum_gbar",
     "random_unitary",

@@ -114,11 +114,16 @@ def _verdict(
     stderr: float | None,
     certified: str,
     batches: int | None,
+    n_detectors: int,
 ) -> WitnessVerdict:
     pruned_mass = None
     if isinstance(gbar, CorrelationReport):
         if stderr is not None or batches is not None:
             raise PreconditionError("a report supplies its own stderr and batches")
+        # a threshold for more detectors than the report averaged is too lenient
+        active = len(gbar.active_detectors)
+        if n_detectors != active:
+            raise PreconditionError(f"the report has {active} active detectors, not {n_detectors}")
         gbar, stderr, batches, pruned_mass = gbar.gbar, gbar.stderr, gbar.batches, gbar.pruned_mass
     if not math.isfinite(gbar) or (stderr is not None and not math.isfinite(stderr)):
         raise PreconditionError(f"a verdict needs a finite gbar and stderr, got {gbar}, {stderr}")
@@ -164,12 +169,13 @@ def nonclassicality_witness(
     ``MIN_CERTIFY_BATCHES`` the verdict is inconclusive.
 
     ``gbar`` may be a :class:`CorrelationReport`, which supplies its own
-    ``stderr`` and ``batches`` (passing them too is an error) and never
-    certifies with a positive ``pruned_mass``; a bare number does not know
-    about batches or pruning unless they are passed with it.
+    ``stderr`` and ``batches`` (passing them too is an error), must have
+    ``n_detectors`` active detectors and never certifies with a positive
+    ``pruned_mass``; a bare number does not know about batches or pruning
+    unless they are passed with it.
     """
     threshold = classical_min(n_sources, n_detectors)
-    return _verdict(gbar, threshold, stderr, NONCLASSICAL, batches)
+    return _verdict(gbar, threshold, stderr, NONCLASSICAL, batches, n_detectors)
 
 
 def divisibility_witness(
@@ -184,11 +190,11 @@ def divisibility_witness(
     Stated for m identical inputs with eta >= 0 and all m outputs monitored;
     a value below the threshold certifies that the evolution cannot split
     into two independent subblocks. A report as ``gbar`` and ``batches`` act
-    as in :func:`nonclassicality_witness`.
+    as in :func:`nonclassicality_witness`, with ``n_modes`` active detectors.
     """
     if eta < 0:
         raise PreconditionError(
             "the divisibility criterion is stated for sub-Poissonian inputs (eta >= 0)"
         )
     threshold = divisibility_threshold(n_modes, eta)
-    return _verdict(gbar, threshold, stderr, INDIVISIBLE, batches)
+    return _verdict(gbar, threshold, stderr, INDIVISIBLE, batches, n_modes)

@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import bounds
 from .classical_engine import ClassicalSetup, classical_gbar, mc_estimate_gbar
 from .errors import (
@@ -36,11 +38,17 @@ from .quantum_engine import (
 )
 from .report import DEFAULT_BATCHES
 from .sources import (
+    ClassicalSource,
     OverlapMatrix,
+    PhotonStatistics,
     classical_moments,
-    classical_source_from_record,
+    coherent,
     eta,
-    photon_statistics_from_record,
+    fixed_source,
+    fock,
+    pseudo_thermal_source,
+    squeezed_vacuum,
+    thermal,
 )
 
 EXIT_OK = 0
@@ -61,10 +69,13 @@ def _finite(token: str) -> float:
 
 class _Fields(dict):
     """The resolved config: each field a mode read, as :meth:`read` returned
-    it, and the values derived from those fields, assigned directly."""
+    it, and the values derived from those fields, assigned directly. A nested
+    record is a ``_Fields`` of its own, so it is echoed the same way."""
 
     def __init__(self, source):
         super().__init__()
+        if not isinstance(source, dict):
+            raise ConfigError(f"config and its records must be JSON objects, got {source!r}")
         self.source = source
 
     def read(self, key: str, kind=None, default=_REQUIRED):
@@ -86,35 +97,78 @@ class _Fields(dict):
         """A field with no default: ``None``, and not echoed, when absent or null."""
         return None if self.source.get(key) is None else self.read(key, kind)
 
+    def build(self, kinds: dict):
+        """The object that ``kinds[kind]`` builds from this record's fields."""
+        kind = self.read("kind")
+        if kind not in kinds:
+            raise ConfigError(f"unknown source kind {kind!r}; expected one of {tuple(kinds)}")
+        return kinds[kind](self)
 
-def _build_unitary(spec) -> UnitaryMatrix:
-    if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError(f"interferometer spec must name exactly one builder: {spec!r}")
-    (kind, value), = spec.items()
+
+def _records(values) -> list[_Fields]:
+    return [_Fields(v) for v in values]
+
+
+def _floats(value) -> list:
+    return np.array(value, dtype=float).tolist()
+
+
+def _realizations(record: _Fields) -> ClassicalSource:
+    pairs = np.array(record.read("realizations", _floats))
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ConfigError("realizations must be [probability, amplitude] pairs")
+    return ClassicalSource(pairs[:, 0], pairs[:, 1])
+
+
+# each source kind's builder, with the default cutoffs and quadrature levels
+_PHOTON_KINDS = {
+    "fock": lambda r: fock(r.read("n", int)),
+    "vacuum": lambda r: fock(0),
+    "coherent": lambda r: coherent(r.read("mean", float), r.read("cutoff", int, 40)),
+    "thermal": lambda r: thermal(r.read("mean", float), r.read("cutoff", int, 80)),
+    "squeezed": lambda r: squeezed_vacuum(r.read("r", float), r.read("cutoff", int, 60)),
+    "custom": lambda r: PhotonStatistics(r.read("pmf", _floats)),
+}
+_CLASSICAL_KINDS = {
+    "fixed": lambda r: fixed_source(r.read("amplitude", float)),
+    "pseudo-thermal": lambda r: pseudo_thermal_source(
+        r.read("mean_intensity", float), r.read("levels", int, 32)
+    ),
+    "custom": _realizations,
+}
+
+
+def _build_unitary(spec: _Fields) -> UnitaryMatrix:
+    """The interferometer ``{builder: argument}`` names."""
+    if len(spec.source) != 1:
+        raise ConfigError(f"interferometer spec must name exactly one builder: {spec.source!r}")
+    (kind,) = spec.source
     if kind == "ftm":
-        return ftm(int(value))
+        return ftm(spec.read("ftm", int))
     if kind == "random":
-        return random_unitary(_Fields(value).read("dim", int), int(value.get("seed", 0)))
+        args = spec.read("random", _Fields)
+        return random_unitary(args.read("dim", int), args.read("seed", int, 0))
     if kind == "direct_sum":
-        if not isinstance(value, list) or len(value) != 2:
+        parts = spec.read("direct_sum", _records)
+        if len(parts) != 2:
             raise ConfigError("direct_sum takes a list of two interferometer specs")
-        return direct_sum(_build_unitary(value[0]), _build_unitary(value[1]))
+        return direct_sum(_build_unitary(parts[0]), _build_unitary(parts[1]))
     if kind == "file":
-        return UnitaryMatrix(load_matrix(value))
+        return UnitaryMatrix(load_matrix(spec.read("file")))
     raise ConfigError(f"unknown interferometer builder {kind!r}")
 
 
 def _classical_setup(fields: _Fields) -> ClassicalSetup:
-    spec = fields.read("interferometer")
+    spec = fields.read("interferometer", _Fields)
     # unlike the builders, a file may hold an arbitrary rectangular map
-    if isinstance(spec, dict) and set(spec) == {"file"}:
-        transfer = load_matrix(spec["file"])
+    if set(spec.source) == {"file"}:
+        transfer = load_matrix(spec.read("file"))
     else:
         transfer = _build_unitary(spec).matrix
-    sources = tuple(classical_source_from_record(r) for r in fields.read("sources"))
-    overlap = fields.read("overlap", default=None)
+    sources = tuple(r.build(_CLASSICAL_KINDS) for r in fields.read("sources", _records))
+    overlap = fields.read("overlap", _Fields, None)
     if overlap is not None:
-        overlap = OverlapMatrix(load_matrix(_Fields(overlap).read("file")))
+        overlap = OverlapMatrix(load_matrix(overlap.read("file")))
     energy = fields.read("energy_scale", float, 1.0)
     return ClassicalSetup(transfer, sources, overlap=overlap, energy_scale=energy)
 
@@ -122,15 +176,15 @@ def _classical_setup(fields: _Fields) -> ClassicalSetup:
 def _quantum_setup(fields: _Fields, broadcast: bool = False) -> QuantumSetup:
     """Sources padded with vacuum to the unitary's modes; with ``broadcast``,
     a single source record means the same state on every port."""
-    unitary = _build_unitary(fields.read("interferometer"))
+    unitary = _build_unitary(fields.read("interferometer", _Fields))
     m = unitary.dim
-    records = list(fields.read("sources"))
+    records = fields.read("sources", _records)
     if broadcast and len(records) == 1:
         records *= m
     if len(records) > m:
         raise ConfigError(f"{len(records)} sources for {m} modes")
-    fields["sources"] = records + [{"kind": "vacuum"}] * (m - len(records))
-    stats = tuple(photon_statistics_from_record(r) for r in fields["sources"])
+    records += _records([{"kind": "vacuum"}] * (m - len(records)))
+    stats = tuple(r.build(_PHOTON_KINDS) for r in records)
     det_cfg = fields.read("detectors", default="all")
     detectors = None if det_cfg == "all" else tuple(int(d) for d in det_cfg)
     energy = fields.read("energy_scale", float, 1.0)
@@ -171,7 +225,7 @@ def _run_divisibility(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     if fields.read("detectors", default="all") != "all":
         raise PreconditionError("divisibility certification needs all outputs monitored")
     setup = _quantum_setup(fields, broadcast=True)
-    padded = fields["sources"]
+    padded = fields["sources"]  # as read, so equal states compare equal however spelled
     if any(r != padded[0] for r in padded):
         raise PreconditionError("divisibility certification needs identical inputs")
     shared_eta = eta(setup.stats[0])
@@ -301,10 +355,9 @@ MODES = tuple(_RUNNERS)
 
 def run(config: dict, seed_override: int | None = None, verbose: bool = False) -> tuple[dict, list[str]]:
     """Execute one experiment configuration; returns (report, summary lines)."""
-    if not isinstance(config, dict):
-        raise ConfigError("configuration must be a JSON object")
-    # the override replaces the seed of the modes that read one
-    fields = _Fields(config if seed_override is None else {**config, "seed": seed_override})
+    fields = _Fields(config)
+    if seed_override is not None:  # replaces the seed of the modes that read one
+        fields.source = {**config, "seed": seed_override}
     mode = fields.read("mode")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")

@@ -96,14 +96,11 @@ def read_shot_records(
     """
     if isinstance(lines, (str, os.PathLike)):
         with open(lines, encoding="utf-8") as fh:
-            raw = fh.readlines()
-    else:
-        raw = list(lines)
-
+            return read_shot_records(fh, delimiter)
     records: list[ShotRecord] = []
     rejected = 0
     n_columns: int | None = None
-    for line in raw:
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue

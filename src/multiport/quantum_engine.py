@@ -108,7 +108,8 @@ def _product_blocks(pmfs: list[np.ndarray], prune_tol: float, rows: int):
     and a last, empty block. Depth-first over chunks of prefixes, each
     extended by one source as an array. A prefix below ``prune_tol`` bounds
     its completions, so its subtree is skipped and its probability summed into
-    the pruned mass, which stays exactly zero when nothing is pruned.
+    the pruned mass, which stays exactly zero when nothing is pruned. A prefix
+    of probability exactly 0 is neither kept nor pruned, whatever ``prune_tol``.
     """
     m, pruned = len(pmfs), 0.0
     # a chunk of prefixes extends to at most ORACLE_BLOCK_BYTES of occupations
@@ -117,7 +118,7 @@ def _product_blocks(pmfs: list[np.ndarray], prune_tol: float, rows: int):
     while stack:
         occ, prob = stack.pop()
         joint = prob[:, None] * pmfs[occ.shape[1]]
-        keep = joint >= prune_tol
+        keep = (joint >= prune_tol) & (joint > 0)
         pruned += float(joint[~keep].sum())
         parent, n = np.nonzero(keep)
         occ, prob = np.column_stack([occ[parent], n]), joint[parent, n]

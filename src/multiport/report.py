@@ -77,15 +77,6 @@ class CorrelationReport:
                 out[f.name] = getattr(self, f.name)
         return out
 
-    def to_table(self) -> str:
-        """Tabular text: one 'i j ratio' row per pair plus a summary line."""
-        lines = ["i\tj\tratio"]
-        for i, j, r in self.pair_ratios:
-            lines.append(f"{i}\t{j}\t{r:.17g}")
-        stderr = "-" if self.stderr is None else f"{self.stderr:.17g}"
-        lines.append(f"# gbar={self.gbar:.17g} stderr={stderr} provenance={self.provenance}")
-        return "\n".join(lines) + "\n"
-
 
 def active_positions(means: np.ndarray) -> np.ndarray:
     """Positions whose mean intensity exceeds the relative exclusion threshold.

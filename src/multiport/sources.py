@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     InvalidStatisticsError,
     MatrixValidationError,
     TruncationError,
@@ -263,57 +262,3 @@ class OverlapMatrix:
         """
         vals, vecs = np.linalg.eigh(self.matrix)
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-
-def photon_statistics_from_record(record: dict) -> PhotonStatistics:
-    """Build PhotonStatistics from a structured record.
-
-    Kinds: fock {n}, coherent {mean, cutoff}, thermal {mean, cutoff},
-    squeezed {r, cutoff}, vacuum {}, custom {pmf}. Custom pmfs are validated
-    on load.
-    """
-    try:
-        kind = record["kind"]
-        if kind == "fock":
-            return fock(int(record["n"]))
-        if kind == "vacuum":
-            return fock(0)
-        if kind == "coherent":
-            return coherent(float(record["mean"]), int(record.get("cutoff", 40)))
-        if kind == "thermal":
-            return thermal(float(record["mean"]), int(record.get("cutoff", 80)))
-        if kind == "squeezed":
-            return squeezed_vacuum(float(record["r"]), int(record.get("cutoff", 60)))
-        if kind == "custom":
-            return PhotonStatistics(np.array(record["pmf"], dtype=float))
-    except (InvalidStatisticsError, TruncationError):
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad photon-statistics record {record!r}: {exc}") from None
-    raise ConfigError(f"unknown photon-statistics kind {kind!r}")
-
-
-def classical_source_from_record(record: dict) -> ClassicalSource:
-    """Build a ClassicalSource from a structured record.
-
-    Kinds: fixed {amplitude}, pseudo-thermal {mean_intensity, levels},
-    custom {realizations: [[probability, amplitude], ...]}.
-    """
-    try:
-        kind = record["kind"]
-        if kind == "fixed":
-            return fixed_source(float(record["amplitude"]))
-        if kind == "pseudo-thermal":
-            return pseudo_thermal_source(
-                float(record["mean_intensity"]), int(record.get("levels", 32))
-            )
-        if kind == "custom":
-            pairs = np.array(record["realizations"], dtype=float)
-            if pairs.ndim != 2 or pairs.shape[1] != 2:
-                raise ValueError("realizations must be [probability, amplitude] pairs")
-            return ClassicalSource(pairs[:, 0], pairs[:, 1])
-    except InvalidStatisticsError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad classical-source record {record!r}: {exc}") from None
-    raise ConfigError(f"unknown classical-source kind {kind!r}")

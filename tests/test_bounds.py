@@ -226,6 +226,17 @@ def test_report_supplies_its_own_stderr_and_batches():
                 witness(rep, *args, **extra)
 
 
+def test_report_refuses_a_detector_count_it_does_not_have():
+    # three equal fixed sources on ftm(3) sit at the bound 2/3; a threshold
+    # for 30 detectors would certify this classical light as nonclassical
+    rep = mc_estimate_gbar(ClassicalSetup(ftm(3).matrix, (fixed_source(1.0),) * 3), 200_000, 1)
+    assert nonclassicality_witness(rep, 3, 3).classification == "inconclusive"
+    with pytest.raises(PreconditionError):
+        nonclassicality_witness(rep, 3, 30)
+    with pytest.raises(PreconditionError):
+        divisibility_witness(rep, 4, 1.0)
+
+
 def test_pruned_oracle_report_never_certifies():
     # two coherent inputs sit exactly on the bound 1/2; pruning biases the
     # oracle's gbar to just below it, so the bare number certifies falsely

@@ -596,6 +596,64 @@ def test_config_echoes_every_field_the_mode_read(tmp_path, monkeypatch, mode, re
     assert config["mode"] == mode and "unread" not in config
 
 
+def echoed(report, key):
+    """The echo of a config field as JSON, so that 1 and 1.0 differ."""
+    return json.dumps(report["config"][key], sort_keys=True)
+
+
+# a source record of each kind and its echo: defaults applied, numbers
+# converted, unread keys (a misspelt "cutoff" among them) dropped
+SOURCE_ECHOES = [
+    ("quantum", {"kind": "fock", "n": 1, "unread": 1}, {"kind": "fock", "n": 1}),
+    ("quantum", {"kind": "vacuum", "n": 3}, {"kind": "vacuum"}),
+    ("quantum", {"kind": "coherent", "mean": 1, "cutof": 5},
+     {"kind": "coherent", "mean": 1.0, "cutoff": 40}),
+    ("quantum", {"kind": "thermal", "mean": 1}, {"kind": "thermal", "mean": 1.0, "cutoff": 80}),
+    ("quantum", {"kind": "squeezed", "r": 0.5}, {"kind": "squeezed", "r": 0.5, "cutoff": 60}),
+    ("quantum", {"kind": "custom", "pmf": [0, 1], "n": 1}, {"kind": "custom", "pmf": [0.0, 1.0]}),
+    ("classical-analytic", {"kind": "fixed", "amplitude": 1, "mean": 2},
+     {"kind": "fixed", "amplitude": 1.0}),
+    ("classical-analytic", {"kind": "pseudo-thermal", "mean_intensity": 2},
+     {"kind": "pseudo-thermal", "mean_intensity": 2.0, "levels": 32}),
+    ("classical-analytic", {"kind": "custom", "realizations": [[1, 2]], "levels": 4},
+     {"kind": "custom", "realizations": [[1.0, 2.0]]}),
+]
+
+
+@pytest.mark.parametrize(
+    "mode,record,echo", SOURCE_ECHOES, ids=[f"{m}-{r['kind']}" for m, r, _ in SOURCE_ECHOES]
+)
+def test_config_echoes_each_source_record_as_read(mode, record, echo):
+    lit = FOCK if mode == "quantum" else FIXED
+    report, _ = cli.run({"mode": mode, "interferometer": {"ftm": 2}, "sources": [record, lit]})
+    assert echoed(report, "sources") == json.dumps([echo, lit], sort_keys=True)
+
+
+def test_config_echoes_interferometer_and_overlap_specs_as_read(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_matrix(np.eye(4, dtype=complex), "overlap.txt")
+    spec = {"direct_sum": [{"ftm": 2.0}, {"random": {"dim": 2, "unread": 1}}]}
+    overlap = {"file": "overlap.txt", "x": 1}
+    payload = {"interferometer": spec, "sources": [FIXED] * 4, "overlap": overlap}
+    report, _ = cli.run({"mode": "classical-analytic", **payload})
+    expected = {"direct_sum": [{"ftm": 2}, {"random": {"dim": 2, "seed": 0}}]}
+    assert echoed(report, "interferometer") == json.dumps(expected, sort_keys=True)
+    assert report["config"]["overlap"] == {"file": "overlap.txt"}
+
+
+def test_divisibility_accepts_identical_states_spelled_differently(tmp_path):
+    spellings = [
+        {"kind": "coherent", "mean": 1, "cutoff": 40},
+        {"kind": "coherent", "mean": 1},
+        {"kind": "coherent", "mean": 1.0, "cutoff": 40.0},
+        {"kind": "coherent", "mean": 1, "note": "same laser"},
+    ]
+    payload = {"mode": "divisibility", "interferometer": {"ftm": 4}, "sources": spellings}
+    code, report, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_OK
+    assert report["config"]["sources"] == [{"kind": "coherent", "mean": 1.0, "cutoff": 40}] * 4
+
+
 def concrete_errors(base=errors.MultiportError):
     found = []
     for sub in base.__subclasses__():
@@ -629,6 +687,34 @@ def test_every_error_class_exits_with_its_documented_code(tmp_path, monkeypatch,
     assert not out_path.exists()
     prefix = {EXIT_CONFIG: "config", EXIT_DIMENSION: "dimension", EXIT_ENGINE: "engine"}[code]
     assert capsys.readouterr().err == f"{prefix} error: boom\n"
+
+
+# a faulty nested record in each way it can be faulty, and its exit code
+RECORD_ERRORS = {
+    "missing-field": ({"sources": [{"kind": "fock"}, FOCK]}, EXIT_CONFIG),
+    "unknown-kind": ({"mode": "classical-analytic", "sources": [{"kind": "sunlight"}]}, EXIT_CONFIG),
+    "bad-number": ({"sources": [{"kind": "coherent", "mean": "bright"}, FOCK]}, EXIT_CONFIG),
+    "bad-pmf": ({"sources": [{"kind": "custom", "pmf": [0.5, 0.2]}, FOCK]}, EXIT_DIMENSION),
+    "non-dict-source": ({"sources": ["fock", FOCK]}, EXIT_CONFIG),
+    "bad-realizations": (
+        {"mode": "classical-analytic", "sources": [{"kind": "custom", "realizations": [[0.5]]}]},
+        EXIT_CONFIG,
+    ),
+    "non-dict-interferometer": ({"interferometer": "ftm"}, EXIT_CONFIG),
+    "missing-dim": ({"interferometer": {"random": {"seed": 1}}}, EXIT_CONFIG),
+    "unknown-builder": ({"interferometer": {"fft": 2}}, EXIT_CONFIG),
+    "short-direct-sum": ({"interferometer": {"direct_sum": [{"ftm": 2}]}}, EXIT_CONFIG),
+}
+
+
+@pytest.mark.parametrize("case", RECORD_ERRORS)
+def test_every_record_error_exits_with_its_documented_code(tmp_path, capsys, case):
+    fields, expected = RECORD_ERRORS[case]
+    code, _, out_path = run_cli(tmp_path, {**HOM_QUANTUM, **fields})
+    assert code == expected
+    assert not out_path.exists()
+    prefix = {EXIT_CONFIG: "config", EXIT_DIMENSION: "dimension"}[expected]
+    assert capsys.readouterr().err.startswith(f"{prefix} error: ")
 
 
 def test_null_fields_with_no_default_mean_absent(tmp_path, monkeypatch):

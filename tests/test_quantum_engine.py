@@ -305,7 +305,8 @@ def reference_pair(u, occ, i, j):
 
 
 def reference_configurations(stats, prune_tol):
-    """(occupation, probability) depth-first, (None, mass) per pruned subtree."""
+    """(occupation, probability) depth-first, (None, mass) per pruned subtree;
+    a subtree of probability exactly 0 is neither kept nor pruned."""
 
     def rec(prefix, prob):
         if len(prefix) == len(stats):
@@ -313,6 +314,8 @@ def reference_configurations(stats, prune_tol):
             return
         for n, p in enumerate(stats[len(prefix)].pmf):
             joint = prob * p
+            if joint == 0:
+                continue
             if joint < prune_tol:
                 yield None, joint
                 continue
@@ -473,9 +476,17 @@ def test_photon_limit_is_checked_before_any_amplitude(monkeypatch):
 def test_oracle_reports_its_configuration_count():
     setup = QuantumSetup(ftm(3), (fock(1), coherent(0.5, 10), thermal(0.2, 12)))
     report = oracle_gbar(setup, photon_limit=30, prune_tol=0.0)
-    assert report.configurations == 2 * 11 * 13
-    assert report.to_dict()["configurations"] == 2 * 11 * 13
+    assert report.configurations == 11 * 13
+    assert report.to_dict()["configurations"] == 11 * 13
     assert "configurations" not in quantum_gbar(setup).to_dict()
+
+
+def test_oracle_never_enumerates_a_configuration_of_probability_zero():
+    assert oracle_gbar(QuantumSetup(ftm(3), (fock(2),) * 3), prune_tol=0.0).configurations == 1
+    # (2, 5) has probability 0, so it must not trip the photon limit of 6
+    binary = PhotonStatistics(np.array([0.5, 0.5, 0, 0, 0, 0]))
+    report = oracle_gbar(QuantumSetup(ftm(2), (binary, binary)), photon_limit=6, prune_tol=0.0)
+    assert report.configurations == 4 and report.pruned_mass == 0.0
 
 
 pmfs = st.lists(st.integers(0, 10), min_size=1, max_size=5).filter(any)

@@ -19,25 +19,6 @@ def sample_report():
     return classical_gbar(setup)
 
 
-def test_table_lists_one_row_per_pair():
-    report = sample_report()
-    lines = report.to_table().strip().splitlines()
-    assert lines[0] == "i\tj\tratio"
-    assert len(lines) == 1 + len(report.pair_ratios) + 1
-    i, j, ratio = lines[1].split("\t")
-    assert (int(i), int(j)) == report.pair_ratios[0][:2]
-    assert float(ratio) == report.pair_ratios[0][2]
-    assert lines[-1].startswith("# gbar=")
-    assert "provenance=analytic" in lines[-1]
-
-
-def test_table_summary_carries_stderr_when_present():
-    setup = ClassicalSetup(ftm(2).matrix, (fixed_source(1.0), fixed_source(1.0)))
-    report = mc_estimate_gbar(setup, shots=2000, seed=1)
-    summary = report.to_table().strip().splitlines()[-1]
-    assert "stderr=" in summary and "stderr=-" not in summary
-
-
 def test_dict_round_trips_through_json():
     import json
 

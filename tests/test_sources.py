@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import multiport.cli as cli
 from multiport import (
     ClassicalSource,
     ConfigError,
@@ -11,13 +12,11 @@ from multiport import (
     TruncationError,
     UndefinedEtaError,
     classical_moments,
-    classical_source_from_record,
     coherent,
     eta,
     fixed_source,
     fock,
     is_sub_poissonian,
-    photon_statistics_from_record,
     pseudo_thermal_source,
     squeezed_vacuum,
     thermal,
@@ -278,6 +277,16 @@ def test_overlap_validation():
 # ---------------------------------------------------------------- records
 
 
+def read_quantum_record(record):
+    """A quantum source record, read as the CLI reads it."""
+    return cli._Fields(record).build(cli._PHOTON_KINDS)
+
+
+def read_classical_record(record):
+    """A classical source record, read as the CLI reads it."""
+    return cli._Fields(record).build(cli._CLASSICAL_KINDS)
+
+
 def test_photon_statistics_records_round_trip():
     cases = [
         ({"kind": "fock", "n": 2}, fock(2)),
@@ -288,30 +297,30 @@ def test_photon_statistics_records_round_trip():
         ({"kind": "custom", "pmf": [0.25, 0.75]}, PhotonStatistics(np.array([0.25, 0.75]))),
     ]
     for record, expected in cases:
-        got = photon_statistics_from_record(record)
+        got = read_quantum_record(record)
         assert np.allclose(got.pmf, expected.pmf, atol=1e-15)
 
 
 def test_photon_statistics_record_errors():
     with pytest.raises(ConfigError):
-        photon_statistics_from_record({"kind": "laser"})
+        read_quantum_record({"kind": "laser"})
     with pytest.raises(ConfigError):
-        photon_statistics_from_record({"kind": "fock"})
+        read_quantum_record({"kind": "fock"})
     with pytest.raises(InvalidStatisticsError):
-        photon_statistics_from_record({"kind": "custom", "pmf": [0.5, 0.2]})
+        read_quantum_record({"kind": "custom", "pmf": [0.5, 0.2]})
 
 
 def test_classical_source_records():
-    fixed = classical_source_from_record({"kind": "fixed", "amplitude": 1.5})
+    fixed = read_classical_record({"kind": "fixed", "amplitude": 1.5})
     assert classical_moments(fixed) == (2.25, 2.25**2)
-    custom = classical_source_from_record(
+    custom = read_classical_record(
         {"kind": "custom", "realizations": [[0.5, 0.0], [0.5, 1.0]]}
     )
     assert classical_moments(custom) == (0.5, 0.5)
-    pseudo = classical_source_from_record({"kind": "pseudo-thermal", "mean_intensity": 1.0})
+    pseudo = read_classical_record({"kind": "pseudo-thermal", "mean_intensity": 1.0})
     m2, m4 = classical_moments(pseudo)
     assert m4 == pytest.approx(2 * m2**2, rel=1e-12)
     with pytest.raises(ConfigError):
-        classical_source_from_record({"kind": "custom", "realizations": [[0.5], [0.5]]})
+        read_classical_record({"kind": "custom", "realizations": [[0.5], [0.5]]})
     with pytest.raises(ConfigError):
-        classical_source_from_record({"kind": "sunlight"})
+        read_classical_record({"kind": "sunlight"})
