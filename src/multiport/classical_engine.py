@@ -9,6 +9,8 @@ serve as cross-checks of one another.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .report import (
     CorrelationReport,
     assemble_report,
     batch_sizes,
+    batch_sums,
     report_from_batches,
 )
 from .sources import ClassicalSource, OverlapMatrix, classical_moments
@@ -115,34 +118,54 @@ def classical_gbar(setup: ClassicalSetup) -> CorrelationReport:
 
 def _sample_amplitudes(
     setup: ClassicalSetup,
+    tables: list[np.ndarray],
     n_shots: int,
     phase_rng: np.random.Generator,
     pick_rng: np.random.Generator,
 ) -> np.ndarray:
     """Complex field amplitudes (n_shots x n_sources) for one batch.
 
-    Shot k consumes the k-th row of each stream, so a shot's randomness is a
-    fixed function of (seed, shot index) regardless of batching.
+    ``tables`` holds each source's cumulative probabilities. Shot k consumes
+    the k-th row of each stream, so a shot's randomness is a fixed function
+    of (seed, shot index) regardless of batching; a one-level source's pick
+    is drawn but not needed.
     """
     n = setup.n_sources
     phases = phase_rng.uniform(0.0, 2.0 * np.pi, size=(n_shots, n))
     picks = pick_rng.random(size=(n_shots, n))
     amps = np.empty((n_shots, n))
-    for a, src in enumerate(setup.sources):
-        cum = np.cumsum(src.probabilities)
-        idx = np.minimum(np.searchsorted(cum, picks[:, a], side="right"), cum.size - 1)
-        amps[:, a] = src.amplitudes[idx]
-    return amps * np.exp(1j * phases)
+    for a, (src, cum) in enumerate(zip(setup.sources, tables)):
+        pick = np.searchsorted(cum, picks[:, a], side="right") if cum.size > 1 else 0
+        amps[:, a] = src.amplitudes[np.minimum(pick, cum.size - 1)]
+    fields = np.empty((n_shots, n), complex)
+    np.multiply(np.cos(phases, out=fields.real), amps, out=fields.real)
+    np.multiply(np.sin(phases, out=fields.imag), amps, out=fields.imag)
+    return fields
 
 
 def _intensities(setup: ClassicalSetup, fields: np.ndarray, modes: np.ndarray | None) -> np.ndarray:
     """Detector intensities of each shot at unit energy scale."""
     if modes is None:
-        return np.abs(fields @ setup.transfer.T) ** 2
+        # in row blocks that OpenBLAS does not thread (m·n·k < 2^16): after a
+        # threaded call its pool spins and takes a CPU from the sampler threads
+        step = max(1, (2**16 - 1) // setup.transfer.size)
+        out = np.empty((len(fields), setup.n_detectors), complex)
+        for r in range(0, len(fields), step):
+            np.matmul(fields[r : r + step], setup.transfer.T, out=out[r : r + step])
+        return np.abs(out) ** 2
     # per-source unit mode vectors: the detected field is a vector sum and the
     # intensity its squared norm, reproducing the |V_ab|^2 interference factor
     per_mode = np.einsum("ia,sak->sik", setup.transfer, fields[:, :, None] * modes[None])
     return (np.abs(per_mode) ** 2).sum(axis=2)
+
+
+def _generator_at(stream: np.random.SeedSequence, draws: int) -> np.random.Generator:
+    """A Philox generator of ``stream`` after ``draws`` draws: Philox is
+    counter-based, four draws per step, so it skips them without drawing."""
+    bits = np.random.Philox(stream)
+    bits.advance(draws // 4)
+    bits.random_raw(draws % 4)
+    return np.random.Generator(bits)
 
 
 def mc_estimate_gbar(
@@ -154,22 +177,69 @@ def mc_estimate_gbar(
     phase, propagates the fields, and records all detector intensities. The
     point estimate is the ratio of full-sample means; the standard error
     comes from the spread of the same statistic over equal shot batches.
-    Results are reproducible bit-for-bit for a fixed (seed, shots, batches).
+    Large batches run on up to one thread per available CPU, each seeking its
+    own rows of the two Philox streams, so results are reproducible bit for
+    bit for a fixed (seed, shots, batches) on any number of CPUs.
     """
     modes = setup.overlap.mode_vectors() if setup.overlap is not None else None
+    tables = [np.cumsum(src.probabilities) for src in setup.sources]
+    streams = np.random.SeedSequence(seed).spawn(2)  # phases, picks
+    sizes = batch_sizes(shots, batches)
+    starts = np.cumsum(sizes) - sizes
 
-    root = np.random.SeedSequence(seed)
-    phase_ss, pick_ss = root.spawn(2)
-    phase_rng = np.random.Generator(np.random.Philox(phase_ss))
-    pick_rng = np.random.Generator(np.random.Philox(pick_ss))
+    def run(first: int, stop: int):  # the sums of batches first..stop-1
+        rngs = [_generator_at(s, int(starts[first]) * setup.n_sources) for s in streams]
+        for size in sizes[first:stop]:
+            # the fields live until the next batch is drawn: freed sooner, their
+            # pages went back to the system and faulted in again every batch
+            fields = _sample_amplitudes(setup, tables, int(size), *rngs)
+            yield batch_sums(_intensities(setup, fields, modes))
 
-    def blocks():
-        for size in batch_sizes(shots, batches):
-            # the fields live until the next batch is drawn, as in a plain
-            # loop: freed sooner, their pages went back to the system and
-            # faulted in again every batch (3x the page faults, about 20%
-            # more time for 1e6 shots on three modes)
-            fields = _sample_amplitudes(setup, size, phase_rng, pick_rng)
-            yield _intensities(setup, fields, modes)
+    workers = _worker_count(sizes.size, int(sizes[0]) * setup.n_sources)
+    if workers == 1:
+        sums = run(0, sizes.size)
+    else:
+        sums = _map_in_threads(lambda k: next(run(k, k + 1)), sizes.size, workers)
+    return report_from_batches(sums, "monte-carlo", setup.energy_scale)
 
-    return report_from_batches(blocks(), "monte-carlo", setup.energy_scale)
+
+# Smaller batches are mostly interpreter time, which threads cannot share: 400
+# shots of four sources took 30% longer on two threads than on one (2 CPUs).
+_THREADED_BATCH_DRAWS = 4096
+
+
+def _worker_count(batches: int, draws: int) -> int:
+    """Threads for ``batches`` batches of ``draws`` draws per stream."""
+    if draws < _THREADED_BATCH_DRAWS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, batches))
+
+
+def _map_in_threads(fn, n: int, workers: int) -> list:
+    """``[fn(k) for k in range(n)]`` on the calling thread and ``workers - 1``
+    more, each taking the next ``k`` when it is free; numpy releases the GIL in
+    the sampler's heavy stages. The caller works too, so there is one fewer
+    thread's heap of batch arrays (2 MB less peak memory than a thread pool)."""
+    results, failures, todo, lock = [None] * n, [], iter(range(n)), threading.Lock()
+
+    def work():
+        try:
+            while not failures:
+                with lock:
+                    k = next(todo, n)
+                if k == n:
+                    return
+                results[k] = fn(k)
+        except BaseException as exc:  # raised again in the calling thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if failures:
+        raise failures[0]
+    return results

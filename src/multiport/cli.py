@@ -67,6 +67,13 @@ def _finite(token: str) -> float:
     return value
 
 
+def _integer(value) -> int:
+    """A config count: an integer, or a float with no fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 class _Fields(dict):
     """The resolved config: each field a mode read, as :meth:`read` returned
     it, and the values derived from those fields, assigned directly. A nested
@@ -122,17 +129,17 @@ def _realizations(record: _Fields) -> ClassicalSource:
 
 # each source kind's builder, with the default cutoffs and quadrature levels
 _PHOTON_KINDS = {
-    "fock": lambda r: fock(r.read("n", int)),
+    "fock": lambda r: fock(r.read("n", _integer)),
     "vacuum": lambda r: fock(0),
-    "coherent": lambda r: coherent(r.read("mean", float), r.read("cutoff", int, 40)),
-    "thermal": lambda r: thermal(r.read("mean", float), r.read("cutoff", int, 80)),
-    "squeezed": lambda r: squeezed_vacuum(r.read("r", float), r.read("cutoff", int, 60)),
+    "coherent": lambda r: coherent(r.read("mean", float), r.read("cutoff", _integer, 40)),
+    "thermal": lambda r: thermal(r.read("mean", float), r.read("cutoff", _integer, 80)),
+    "squeezed": lambda r: squeezed_vacuum(r.read("r", float), r.read("cutoff", _integer, 60)),
     "custom": lambda r: PhotonStatistics(r.read("pmf", _floats)),
 }
 _CLASSICAL_KINDS = {
     "fixed": lambda r: fixed_source(r.read("amplitude", float)),
     "pseudo-thermal": lambda r: pseudo_thermal_source(
-        r.read("mean_intensity", float), r.read("levels", int, 32)
+        r.read("mean_intensity", float), r.read("levels", _integer, 32)
     ),
     "custom": _realizations,
 }
@@ -144,10 +151,10 @@ def _build_unitary(spec: _Fields) -> UnitaryMatrix:
         raise ConfigError(f"interferometer spec must name exactly one builder: {spec.source!r}")
     (kind,) = spec.source
     if kind == "ftm":
-        return ftm(spec.read("ftm", int))
+        return ftm(spec.read("ftm", _integer))
     if kind == "random":
         args = spec.read("random", _Fields)
-        return random_unitary(args.read("dim", int), args.read("seed", int, 0))
+        return random_unitary(args.read("dim", _integer), args.read("seed", _integer, 0))
     if kind == "direct_sum":
         parts = spec.read("direct_sum", _records)
         if len(parts) != 2:
@@ -186,7 +193,7 @@ def _quantum_setup(fields: _Fields, broadcast: bool = False) -> QuantumSetup:
     records += _records([{"kind": "vacuum"}] * (m - len(records)))
     stats = tuple(r.build(_PHOTON_KINDS) for r in records)
     det_cfg = fields.read("detectors", default="all")
-    detectors = None if det_cfg == "all" else tuple(int(d) for d in det_cfg)
+    detectors = None if det_cfg == "all" else tuple(_integer(d) for d in det_cfg)
     energy = fields.read("energy_scale", float, 1.0)
     setup = QuantumSetup(unitary, stats, detectors=detectors, energy_scale=energy)
     fields["detectors"] = list(setup.detectors)
@@ -203,12 +210,12 @@ def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
         setup = _quantum_setup(fields)
         powers = [q.mean for q in setup.stats]
     if mode == "classical-mc":
-        shots = fields.read("shots", int)
-        seed = fields.read("seed", int, 0)
-        batches = fields.read("batches", int, DEFAULT_BATCHES)
+        shots = fields.read("shots", _integer)
+        seed = fields.read("seed", _integer, 0)
+        batches = fields.read("batches", _integer, DEFAULT_BATCHES)
         rep = mc_estimate_gbar(setup, shots, seed, batches=batches)
     elif mode == "oracle":
-        photon_limit = fields.read("photon_limit", int, DEFAULT_PHOTON_LIMIT)
+        photon_limit = fields.read("photon_limit", _integer, DEFAULT_PHOTON_LIMIT)
         prune_tol = fields.read("prune_tol", float, DEFAULT_PRUNE_TOL)
         rep = oracle_gbar(setup, photon_limit=photon_limit, prune_tol=prune_tol)
     else:
@@ -243,8 +250,8 @@ def _run_divisibility(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
 
 
 def _run_bounds(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
-    m_min = fields.read("m_min", int, 2)
-    m_max = fields.read("m_max", int, 10)
+    m_min = fields.read("m_min", _integer, 2)
+    m_max = fields.read("m_max", _integer, 10)
     eta_value = fields.read("eta", float, 1.0)
     if m_min < 2 or m_max < m_min:
         raise ConfigError("bounds mode needs 2 <= m_min <= m_max")
@@ -269,10 +276,10 @@ def _run_bounds(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
 
 
 def _run_optimize(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
-    n_sources = fields.read("n_sources", int)
-    n_detectors = fields.read("n_detectors", int)
-    restarts = fields.read("restarts", int, 20)
-    seed = fields.read("seed", int, 0)
+    n_sources = fields.read("n_sources", _integer)
+    n_detectors = fields.read("n_detectors", _integer)
+    restarts = fields.read("restarts", _integer, 20)
+    seed = fields.read("seed", _integer, 0)
     trace = sys.stderr if verbose else None
     result = multistart_minimize(n_sources, n_detectors, restarts=restarts, seed=seed, trace=trace)
     value = result.value
@@ -299,13 +306,13 @@ def _run_witness(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     kind = fields.read("witness_kind", default="nonclassicality")
     gbar = fields.read("gbar", float)
     stderr = fields.read("stderr", float, None)
-    batches = fields.optional("batches", int)
+    batches = fields.optional("batches", _integer)
     if kind == "nonclassicality":
         witness = bounds.nonclassicality_witness
-        args = fields.read("n_sources", int), fields.read("n_detectors", int)
+        args = fields.read("n_sources", _integer), fields.read("n_detectors", _integer)
     elif kind == "divisibility":
         witness = bounds.divisibility_witness
-        args = fields.read("n_modes", int), fields.read("eta", float)
+        args = fields.read("n_modes", _integer), fields.read("eta", float)
     else:
         raise ConfigError(f"unknown witness_kind {kind!r}")
     verdict = witness(gbar, *args, stderr=stderr, batches=batches)
@@ -316,10 +323,10 @@ def _run_ingest(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     records, rejected = read_shot_records(
         fields.read("records_file"), delimiter=fields.read("delimiter", default=None)
     )
-    batches = fields.read("batches", int, DEFAULT_BATCHES)
+    batches = fields.read("batches", _integer, DEFAULT_BATCHES)
     rep = correlation_report_from_records(records, batches=batches)
     n_detectors = len(rep.active_detectors)
-    n_sources = fields.read("n_sources", int, None)
+    n_sources = fields.read("n_sources", _integer, None)
     fields["n_sources_assumed"] = n_sources is None
     # without a declared source count, N >= M gives the lowest (most
     # conservative) classical bound, so no false certification is possible

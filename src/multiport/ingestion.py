@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientSamplesError, MatrixValidationError
-from .report import DEFAULT_BATCHES, CorrelationReport, batch_sizes, report_from_batches
+from .report import DEFAULT_BATCHES, CorrelationReport, batch_sizes, batch_sums, report_from_batches
 
 MIN_RECORDS = 100
 
@@ -63,7 +63,7 @@ def correlation_report_from_records(
         raise MatrixValidationError("all records must cover the same detectors")
     data = np.stack([r.intensities for r in records])
     blocks = np.split(data, np.cumsum(batch_sizes(len(data), batches))[:-1])
-    return report_from_batches(blocks, "measured")
+    return report_from_batches(map(batch_sums, blocks), "measured")
 
 
 def estimate_gbar_from_records(

@@ -169,22 +169,23 @@ def batch_stderr(values: Sequence[float]) -> float:
     return float(np.sqrt(arr.var(ddof=1) / arr.size))
 
 
+def batch_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The sums of intensities and of intensity products of one batch's
+    (shots x M) detector intensities, and its shot count."""
+    return block.sum(axis=0), block.T @ block, len(block)
+
+
 def report_from_batches(
-    blocks: Iterable[np.ndarray], provenance: str, energy_scale: float = 1.0
+    batches: Iterable[tuple], provenance: str, energy_scale: float = 1.0
 ) -> CorrelationReport:
     """Report of shots in batches, with a batch-means stderr.
 
-    Each block holds the (shots x M) detector intensities of one batch; only
-    its sums of intensities and intensity products are kept, so a generator
-    of blocks holds one batch at a time. The report records the shot and
-    batch counts.
+    Each item is one batch's :func:`batch_sums`, in batch order; only these
+    sums are kept, so a lazy iterable holds one batch at a time. The report
+    records the shot and batch counts.
     Monte Carlo and measured records share this estimator.
     """
-    sums, products, counts = [], [], []
-    for block in blocks:
-        sums.append(block.sum(axis=0))
-        products.append(block.T @ block)
-        counts.append(len(block))
+    sums, products, counts = zip(*batches)
     sum_i, sum_prod, sizes = np.array(sums), np.array(products), np.array(counts)
     shots = sizes.sum()
     means = sum_i.sum(axis=0) / shots

@@ -1,7 +1,13 @@
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import random_classical_setup, report_values
+
+import multiport.classical_engine as engine
 
 from multiport import (
     ClassicalSetup,
@@ -18,6 +24,7 @@ from multiport import (
     mc_estimate_gbar,
     pseudo_thermal_source,
 )
+from multiport.report import DEFAULT_BATCHES, batch_sizes, batch_sums, report_from_batches
 
 
 def hom_setup(energy_scale=1.0):
@@ -225,11 +232,16 @@ def test_mc_agrees_with_analytic_on_random_setups(rng):
         assert abs(mc.gbar - exact) <= 3 * mc.stderr
 
 
+def same_report(a, b) -> bool:
+    """Whole reports equal bit for bit, the intensity means included."""
+    return a.to_dict() == b.to_dict() and a.intensity_means.tobytes() == b.intensity_means.tobytes()
+
+
 def test_mc_deterministic_and_seed_sensitive():
     a = mc_estimate_gbar(hom_setup(), shots=5000, seed=9)
     b = mc_estimate_gbar(hom_setup(), shots=5000, seed=9)
     c = mc_estimate_gbar(hom_setup(), shots=5000, seed=10)
-    assert a.gbar == b.gbar and a.stderr == b.stderr
+    assert same_report(a, b)
     assert a.gbar != c.gbar
 
 
@@ -275,3 +287,137 @@ def test_column_major_transfer_and_overlap_are_accepted():
 def test_mc_one_batch_has_no_stderr():
     with pytest.raises(InsufficientSamplesError):
         mc_estimate_gbar(hom_setup(), shots=1000, seed=0, batches=1)
+
+
+# ----------------------------------------------------------- serial reference
+# The reference for the threaded sampler: the serial loop it replaced, one
+# batch after another from a single pass over both Philox streams.
+
+
+def reference_mc(setup, shots, seed, batches=DEFAULT_BATCHES):
+    modes = setup.overlap.mode_vectors() if setup.overlap is not None else None
+    phase_ss, pick_ss = np.random.SeedSequence(seed).spawn(2)
+    phase_rng = np.random.Generator(np.random.Philox(phase_ss))
+    pick_rng = np.random.Generator(np.random.Philox(pick_ss))
+
+    def blocks():
+        n = setup.n_sources
+        for size in batch_sizes(shots, batches):
+            phases = phase_rng.uniform(0.0, 2.0 * np.pi, size=(size, n))
+            picks = pick_rng.random(size=(size, n))
+            amps = np.empty((size, n))
+            for a, src in enumerate(setup.sources):
+                cum = np.cumsum(src.probabilities)
+                idx = np.minimum(np.searchsorted(cum, picks[:, a], side="right"), cum.size - 1)
+                amps[:, a] = src.amplitudes[idx]
+            fields = amps * np.exp(1j * phases)
+            if modes is None:
+                yield np.abs(fields @ setup.transfer.T) ** 2
+            else:
+                per_mode = np.einsum("ia,sak->sik", setup.transfer, fields[:, :, None] * modes[None])
+                yield (np.abs(per_mode) ** 2).sum(axis=2)
+
+    return report_from_batches(map(batch_sums, blocks()), "monte-carlo", setup.energy_scale)
+
+
+def bit_identity_setups():
+    three_level = ClassicalSource(np.array([0.2, 0.3, 0.5]), np.array([0.0, 1.0, 2.0]))
+    overlap = OverlapMatrix(np.array([[1.0, 0.6, 0.2], [0.6, 1.0, 0.3], [0.2, 0.3, 1.0]]))
+    return {
+        "fixed": ClassicalSetup(ftm(3).matrix, (fixed_source(np.sqrt(0.5)),) * 3),
+        "pseudo-thermal": ClassicalSetup(ftm(4).matrix, (pseudo_thermal_source(0.12),) * 4),
+        "custom": ClassicalSetup(
+            ftm(3).matrix, (three_level, fixed_source(0.0), pseudo_thermal_source(2.0, levels=5))
+        ),
+        "sixteen-modes": ClassicalSetup(
+            ftm(16).matrix, tuple(pseudo_thermal_source(0.3 + 0.1 * k) for k in range(16))
+        ),
+        "fixed-overlap": ClassicalSetup(ftm(3).matrix, (fixed_source(1.0),) * 3, overlap=overlap),
+        "mixed-overlap": ClassicalSetup(
+            ftm(3).matrix, (three_level, fixed_source(0.7), pseudo_thermal_source(1.0)), overlap=overlap
+        ),
+    }
+
+
+# (shots, batches): fewer shots than batches, one-shot batches whose first rows
+# sit at every offset mod 4 of the four-draw Philox block, uneven sizes, and
+# batches propagated in several row blocks
+SHOT_LAYOUTS = [(3, 5), (9, 9), (1001, 7), (20003, 10), (30001, 3)]
+
+
+def test_shot_layouts_start_batches_at_every_offset_in_a_philox_block():
+    # every offset a first row can have: all four with an odd source count
+    for setup in bit_identity_setups().values():
+        offsets = set()
+        for shots, batches in SHOT_LAYOUTS:
+            sizes = batch_sizes(shots, batches)
+            offsets |= {int(start) * setup.n_sources % 4 for start in np.cumsum(sizes) - sizes}
+        assert offsets == set(range(0, 4, math.gcd(setup.n_sources, 4)))
+    assert any(len(set(batch_sizes(*layout))) > 1 for layout in SHOT_LAYOUTS)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", list(bit_identity_setups()))
+def test_threaded_mc_is_bit_identical_to_the_serial_loop(monkeypatch, name, workers):
+    monkeypatch.setattr(engine, "_worker_count", lambda batches, draws: workers)
+    setup = bit_identity_setups()[name]
+    for shots, batches in SHOT_LAYOUTS:
+        for seed in (4, 2**31 - 1):
+            expected = reference_mc(setup, shots, seed, batches)
+            assert same_report(mc_estimate_gbar(setup, shots, seed, batches), expected)
+
+
+@pytest.mark.parametrize("n_sources", range(1, 6))
+def test_seeked_streams_give_the_rows_of_one_full_draw(n_sources):
+    rows = 9
+    for stream in np.random.SeedSequence(7).spawn(2):
+        full = np.random.Generator(np.random.Philox(stream))
+        phases = full.uniform(0.0, 2.0 * np.pi, size=(rows, n_sources))
+        picks = full.random(size=(rows, n_sources))
+        for start in range(rows):
+            seeked = engine._generator_at(stream, start * n_sources)
+            tail = seeked.uniform(0.0, 2.0 * np.pi, size=(rows - start, n_sources))
+            assert tail.tobytes() == phases[start:].tobytes()
+            seeked = engine._generator_at(stream, (rows + start) * n_sources)
+            tail = seeked.random(size=(rows - start, n_sources))
+            assert tail.tobytes() == picks[start:].tobytes()
+
+
+def test_worker_count_is_one_for_small_batches_and_never_above_the_batches():
+    assert engine._worker_count(100, engine._THREADED_BATCH_DRAWS - 1) == 1
+    assert 1 <= engine._worker_count(100, 10**5) <= 100
+    assert engine._worker_count(1, 10**5) == 1
+
+
+def test_thread_map_runs_each_index_once_under_fast_switching():
+    seen, results = [], []
+
+    def square(k):
+        seen.append(k)
+        return k * k
+
+    def stress():
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results.extend(engine._map_in_threads(square, 2000, workers=8))
+        finally:
+            sys.setswitchinterval(previous)
+
+    runner = threading.Thread(target=stress)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert sorted(seen) == list(range(2000))
+    assert results == [k * k for k in range(2000)]
+
+
+def test_a_failing_batch_fails_the_estimate(monkeypatch):
+    monkeypatch.setattr(engine, "_worker_count", lambda batches, draws: 2)
+
+    def fail(*args):
+        raise MemoryError("batch")
+
+    monkeypatch.setattr(engine, "_intensities", fail)
+    with pytest.raises(MemoryError, match="batch"):
+        mc_estimate_gbar(hom_setup(), shots=1000, seed=0)

@@ -735,3 +735,48 @@ def test_null_batches_exits_config_error(tmp_path, mode):
     code, _, out_path = run_cli(tmp_path, {**base, "batches": None})
     assert code == EXIT_CONFIG
     assert not out_path.exists()
+
+
+COHERENT = {"kind": "coherent", "mean": 1}
+PSEUDO_THERMAL = {"kind": "pseudo-thermal", "mean_intensity": 1}
+HOM_CLASSICAL = {"mode": "classical-analytic", "interferometer": {"ftm": 2}, "sources": [FIXED, FIXED]}
+
+# each integer field in a config that reads it: the config, the path to the
+# field and a valid value
+INTEGER_FIELDS = {
+    "shots": (HOM_CLASSICAL_MC, ["shots"], 400),
+    "batches": (HOM_CLASSICAL_MC, ["batches"], 20),
+    "seed": (HOM_CLASSICAL_MC, ["seed"], 3),
+    "ftm": (HOM_QUANTUM, ["interferometer", "ftm"], 2),
+    "n": (HOM_QUANTUM, ["sources", 0, "n"], 1),
+    "cutoff": ({**HOM_QUANTUM, "sources": [COHERENT, FOCK]}, ["sources", 0, "cutoff"], 30),
+    "levels": ({**HOM_CLASSICAL, "sources": [PSEUDO_THERMAL, FIXED]}, ["sources", 0, "levels"], 8),
+    "dim": ({**HOM_QUANTUM, "interferometer": {"random": {"dim": 2}}},
+            ["interferometer", "random", "dim"], 2),
+    "photon_limit": ({**HOM_QUANTUM, "mode": "oracle"}, ["photon_limit"], 10),
+    "detectors": ({**HOM_QUANTUM, "interferometer": {"ftm": 3}, "sources": [FOCK] * 3,
+                   "detectors": [0, 2]}, ["detectors", 1], 1),
+}
+
+
+def with_field(config, path, value):
+    config = json.loads(json.dumps(config))
+    *parents, last = path
+    target = config
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return config
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_fields_refuse_fractions_and_booleans(tmp_path, capsys, field):
+    config, path, value = INTEGER_FIELDS[field]
+    for bad in (value + 0.5, True):
+        code, _, out_path = run_cli(tmp_path, with_field(config, path, bad))
+        assert code == EXIT_CONFIG and not out_path.exists()
+        assert capsys.readouterr().err.startswith("config error: expected an integer")
+    # an integral float is the integer, in the run and in the echo
+    code, report, _ = run_cli(tmp_path, with_field(config, path, float(value)))
+    assert code == EXIT_OK
+    assert report == run_cli(tmp_path, with_field(config, path, value))[1]

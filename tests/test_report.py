@@ -11,7 +11,7 @@ from multiport import (
     mc_estimate_gbar,
 )
 from multiport import InsufficientSamplesError
-from multiport.report import CorrelationReport, batch_stderr, report_from_batches
+from multiport.report import CorrelationReport, batch_stderr, batch_sums, report_from_batches
 
 
 def sample_report():
@@ -76,7 +76,8 @@ def test_batch_reports_record_their_batch_count():
 def test_batch_report_sums_a_generator_of_uneven_blocks():
     data = np.random.default_rng(3).exponential(size=(50, 3))
     cuts = [(0, 7), (7, 30), (30, 50)]
-    report = report_from_batches((data[a:b] for a, b in cuts), "measured", energy_scale=2.0)
+    blocks = (data[a:b] for a, b in cuts)
+    report = report_from_batches(map(batch_sums, blocks), "measured", energy_scale=2.0)
 
     def pair_average(block):
         mean = block.mean(axis=0)
