@@ -65,7 +65,9 @@ def _check_eta(eta: float) -> None:
 
 def symmetric_quantum_min(n_detectors: int, eta: float) -> float:
     """Minimum pair average for identical quantum inputs on every port:
-    1 - (1 + eta)/M, reached on the M-mode Fourier interferometer."""
+    1 - (1 + eta)/M, reached on the M-mode Fourier interferometer. It is the
+    minimum over interferometers only for eta >= 0: super-Poissonian inputs
+    go below it on other unitaries."""
     if n_detectors < 2:
         raise DimensionError("the pair average needs at least 2 detectors")
     _check_eta(eta)
@@ -125,8 +127,9 @@ def _verdict(
         if n_detectors != active:
             raise PreconditionError(f"the report has {active} active detectors, not {n_detectors}")
         gbar, stderr, batches, pruned_mass = gbar.gbar, gbar.stderr, gbar.batches, gbar.pruned_mass
-    if not math.isfinite(gbar) or (stderr is not None and not math.isfinite(stderr)):
-        raise PreconditionError(f"a verdict needs a finite gbar and stderr, got {gbar}, {stderr}")
+    # a negative stderr would shrink the sigma rule's band to BOUNDARY_MARGIN
+    if not math.isfinite(gbar) or (stderr is not None and not 0 <= stderr < math.inf):
+        raise PreconditionError(f"a verdict needs a finite gbar and stderr >= 0, got {gbar}, {stderr}")
     margin = threshold - gbar
     sigmas = None
     if stderr is None:

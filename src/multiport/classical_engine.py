@@ -177,8 +177,9 @@ def mc_estimate_gbar(
     phase, propagates the fields, and records all detector intensities. The
     point estimate is the ratio of full-sample means; the standard error
     comes from the spread of the same statistic over equal shot batches.
-    Large batches run on up to one thread per available CPU, each seeking its
-    own rows of the two Philox streams, so results are reproducible bit for
+    The batches are cut into one contiguous range per thread, up to one
+    thread per available CPU for large batches; each range seeks its first
+    rows of the two Philox streams once, so results are reproducible bit for
     bit for a fixed (seed, shots, batches) on any number of CPUs.
     """
     modes = setup.overlap.mode_vectors() if setup.overlap is not None else None
@@ -196,11 +197,9 @@ def mc_estimate_gbar(
             yield batch_sums(_intensities(setup, fields, modes))
 
     workers = _worker_count(sizes.size, int(sizes[0]) * setup.n_sources)
-    if workers == 1:
-        sums = run(0, sizes.size)
-    else:
-        sums = _map_in_threads(lambda k: next(run(k, k + 1)), sizes.size, workers)
-    return report_from_batches(sums, "monte-carlo", setup.energy_scale)
+    edges = [sizes.size * w // workers for w in range(workers + 1)]
+    ranges = _map_in_threads(lambda w: list(run(edges[w], edges[w + 1])), workers)
+    return report_from_batches(sum(ranges, []), "monte-carlo", setup.energy_scale)
 
 
 # Smaller batches are mostly interpreter time, which threads cannot share: 400
@@ -216,28 +215,23 @@ def _worker_count(batches: int, draws: int) -> int:
     return max(1, min(cpus or 1, batches))
 
 
-def _map_in_threads(fn, n: int, workers: int) -> list:
-    """``[fn(k) for k in range(n)]`` on the calling thread and ``workers - 1``
-    more, each taking the next ``k`` when it is free; numpy releases the GIL in
-    the sampler's heavy stages. The caller works too, so there is one fewer
-    thread's heap of batch arrays (2 MB less peak memory than a thread pool)."""
-    results, failures, todo, lock = [None] * n, [], iter(range(n)), threading.Lock()
+def _map_in_threads(fn, n: int) -> list:
+    """``[fn(k) for k in range(n)]`` with ``fn(0)`` on the calling thread and
+    ``fn(k)`` on thread k; numpy releases the GIL in the sampler's heavy
+    stages. The caller works too, so there is one fewer thread's heap of batch
+    arrays (2 MB less peak memory than a thread pool)."""
+    results, failures = [None] * n, []
 
-    def work():
+    def work(k: int):
         try:
-            while not failures:
-                with lock:
-                    k = next(todo, n)
-                if k == n:
-                    return
-                results[k] = fn(k)
+            results[k] = fn(k)
         except BaseException as exc:  # raised again in the calling thread
             failures.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, n)]
     for t in threads:
         t.start()
-    work()
+    work(0)
     for t in threads:
         t.join()
     if failures:

@@ -60,8 +60,8 @@ class CorrelationReport:
         ratios = [r for _, _, r in self.pair_ratios]
         if not ratios:
             raise DegenerateSetupError("a report needs at least one detector pair")
-        if abs(self.gbar - sum(ratios) / len(ratios)) > 1e-12:
-            raise ValueError("gbar must equal the mean of the pair ratios")
+        if not abs(self.gbar - sum(ratios) / len(ratios)) <= 1e-12:  # also refuses NaN
+            raise ValueError("gbar must be finite and equal the mean of the pair ratios")
 
     def to_dict(self) -> dict:
         out = {
@@ -93,9 +93,26 @@ def active_positions(means: np.ndarray) -> np.ndarray:
     return active
 
 
-def _pairs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_ratios(means: np.ndarray, products: np.ndarray, active: np.ndarray) -> tuple:
+    """The active position pairs (a, b), a < b, and their normalized products
+    ``products[..., a, b] / (means[..., a] * means[..., b])``; leading axes
+    (one per batch, say) broadcast.
+
+    Raises:
+        DegenerateSetupError: if a product of active means is not a normal
+            float, where the ratios lose their digits, or a ratio is not finite.
+    """
     a, b = np.triu_indices(active.size, 1)
-    return active[a], active[b]
+    a, b = active[a], active[b]
+    with np.errstate(all="ignore"):
+        norms = means[..., a] * means[..., b]
+        ratios = products[..., a, b] / norms
+    if not np.all((norms >= np.finfo(float).tiny) & (norms < np.inf) & np.isfinite(ratios)):
+        raise DegenerateSetupError(
+            "intensities outside the normal float range (in the sample or a batch): rescale"
+            " them, or use fewer batches if a batch is dark at an active detector"
+        )
+    return a, b, ratios
 
 
 def assemble_report(
@@ -117,8 +134,7 @@ def assemble_report(
     detectors = tuple(int(d) for d in detectors)
     means = np.asarray(means, dtype=float)
     active = active_positions(means)
-    a, b = _pairs(active)
-    ratios = products[a, b] / (means[a] * means[b])
+    a, b, ratios = _pair_ratios(means, products, active)
     # a mean past the largest float is refused where the report is written
     with np.errstate(over="ignore"):
         scaled = energy_scale * means
@@ -134,21 +150,6 @@ def assemble_report(
         provenance=provenance,
         **diagnostics,
     )
-
-
-def gbar_from_sums(
-    sum_i: np.ndarray, sum_prod: np.ndarray, count: int | np.ndarray, active: np.ndarray
-) -> np.ndarray:
-    """Ratio-of-means pair average from sums accumulated over ``count`` shots.
-
-    ``sum_i[..., a]`` is the summed intensity at position a and
-    ``sum_prod[..., a, b]`` the summed product; averages are taken before the
-    ratio. Leading axes (one per batch, say) broadcast against ``count``.
-    """
-    a, b = _pairs(active)
-    count = np.asarray(count)[..., None]
-    mean_i = sum_i / count
-    return (sum_prod[..., a, b] / count / (mean_i[..., a] * mean_i[..., b])).mean(axis=-1)
 
 
 def batch_sizes(shots: int, batches: int) -> np.ndarray:
@@ -189,13 +190,14 @@ def report_from_batches(
     sum_i, sum_prod, sizes = np.array(sums), np.array(products), np.array(counts)
     shots = sizes.sum()
     means = sum_i.sum(axis=0) / shots
-    per_batch = gbar_from_sums(sum_i, sum_prod, sizes, active_positions(means))
+    count = sizes[:, None]
+    *_, per_batch = _pair_ratios(sum_i / count, sum_prod / count[..., None], active_positions(means))
     return assemble_report(
         range(means.size),
         means,
         sum_prod.sum(axis=0) / shots,
         provenance,
-        stderr=batch_stderr(per_batch),
+        stderr=batch_stderr(per_batch.mean(axis=-1)),
         energy_scale=energy_scale,
         batches=int(sizes.size),
         shots=int(shots),

@@ -180,6 +180,15 @@ def test_non_finite_inputs_never_certify(gbar, stderr):
         divisibility_witness(gbar, 4, 1.0, stderr=stderr)
 
 
+def test_negative_stderr_never_certifies():
+    # below zero, the sigma rule's inconclusive band shrank to BOUNDARY_MARGIN
+    assert nonclassicality_witness(0.45, 2, 2, stderr=0.5).classification == "inconclusive"
+    with pytest.raises(PreconditionError, match="stderr >= 0"):
+        nonclassicality_witness(0.45, 2, 2, stderr=-0.5)
+    with pytest.raises(PreconditionError, match="stderr >= 0"):
+        divisibility_witness(0.5, 4, 1.0, stderr=-1.0)
+
+
 @pytest.mark.parametrize("batches", [None, MIN_CERTIFY_BATCHES])
 def test_enough_batches_certify(batches):
     assert nonclassicality_witness(0.3, 2, 2, stderr=0.01, batches=batches).classification == (

@@ -156,6 +156,24 @@ def test_degenerate_setup_raises():
         classical_gbar(setup)
 
 
+def three_fixed_sources(amplitude):
+    return ClassicalSetup(ftm(3).matrix, tuple(fixed_source(amplitude) for _ in range(3)))
+
+
+@pytest.mark.parametrize("amplitude", [1e-80, 1e-81, 1e80])
+def test_intensities_outside_the_float_range_are_refused(amplitude):
+    # at 1e-80 the pair products went subnormal and read 0.666502, below the
+    # bound 2/3; at 1e-81 and 1e80 the report's gbar was NaN
+    with pytest.raises(DegenerateSetupError, match="rescale"):
+        classical_gbar(three_fixed_sources(amplitude))
+
+
+@pytest.mark.parametrize("amplitude,shots,seed", [(1e-80, 10**6, 3), (1e-100, 10**4, 0)])
+def test_mc_of_weak_light_is_refused(amplitude, shots, seed):
+    with pytest.raises(DegenerateSetupError, match="rescale"):
+        mc_estimate_gbar(three_fixed_sources(amplitude), shots, seed)
+
+
 def test_setup_validation():
     with pytest.raises(DimensionError):
         ClassicalSetup(np.eye(2), (fixed_source(1.0),))
@@ -400,7 +418,7 @@ def test_thread_map_runs_each_index_once_under_fast_switching():
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results.extend(engine._map_in_threads(square, 2000, workers=8))
+            results.extend(engine._map_in_threads(square, 8))
         finally:
             sys.setswitchinterval(previous)
 
@@ -408,8 +426,18 @@ def test_thread_map_runs_each_index_once_under_fast_switching():
     runner.start()
     runner.join(timeout=60)
     assert not runner.is_alive()
-    assert sorted(seen) == list(range(2000))
-    assert results == [k * k for k in range(2000)]
+    assert sorted(seen) == list(range(8))
+    assert results == [k * k for k in range(8)]
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(engine, "_worker_count", lambda batches, draws: 1)
+    monkeypatch.setattr(engine.threading, "Thread", no_thread)
+    setup = bit_identity_setups()["fixed"]
+    assert same_report(mc_estimate_gbar(setup, 1001, 4, 7), reference_mc(setup, 1001, 4, 7))
 
 
 def test_a_failing_batch_fails_the_estimate(monkeypatch):

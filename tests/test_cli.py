@@ -369,6 +369,28 @@ def test_non_finite_config_numbers_exit_config_error(tmp_path, capsys, token):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_negative_stderr_exits_engine_error(tmp_path, capsys):
+    payload = {"mode": "witness", "gbar": 0.45, "stderr": -0.5, "n_sources": 2, "n_detectors": 2}
+    code, _, out_path = run_cli(tmp_path, payload)
+    assert code == EXIT_ENGINE
+    assert not out_path.exists()
+    assert "stderr >= 0" in capsys.readouterr().err
+
+
+def test_weak_light_exits_engine_error(tmp_path, capsys):
+    # pair products of 1e-320 are subnormal: the closed form read 0.666502,
+    # below the classical bound 2/3
+    payload = {
+        "mode": "classical-analytic",
+        "interferometer": {"ftm": 3},
+        "sources": [{"kind": "fixed", "amplitude": 1e-80}] * 3,
+    }
+    code, _, out_path = run_cli(tmp_path, payload)
+    assert code == EXIT_ENGINE
+    assert not out_path.exists()
+    assert "rescale" in capsys.readouterr().err
+
+
 def test_non_finite_report_is_never_written(tmp_path, monkeypatch):
     import multiport.cli as cli
 

@@ -161,3 +161,11 @@ def test_one_batch_has_no_stderr():
     records = records_from_matrix(synthesize_hom_shots(500, seed=2))
     with pytest.raises(InsufficientSamplesError):
         correlation_report_from_records(records, batches=1)
+
+
+@pytest.mark.parametrize("scale", [1e-165, 1e160])
+def test_records_outside_the_float_range_are_refused(scale):
+    # at 1e-165 the pair products underflow and the report's gbar was NaN
+    data = scale * synthesize_hom_shots(2000, seed=5)
+    with pytest.raises(DegenerateSetupError, match="rescale"):
+        correlation_report_from_records(records_from_matrix(data))

@@ -29,6 +29,7 @@ from multiport import (
     quantum_gbar,
     random_unitary,
     squeezed_vacuum,
+    symmetric_quantum_min,
     thermal,
 )
 from multiport.report import assemble_report
@@ -130,6 +131,27 @@ def test_symmetric_minimum_formula(rng):
             setup = QuantumSetup(ftm(m), tuple(stats for _ in range(m)))
             expected = 1 - (1 + eta(stats)) / m
             assert quantum_gbar(setup).gbar == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("stats", [fock(1), fock(2), coherent(1.0, 30)], ids=["fock1", "fock2", "coherent"])
+def test_symmetric_quantum_min_is_the_haar_minimum(m, stats):
+    # identical inputs with eta >= 0 on every port: no Haar unitary goes below
+    # the bound, and the Fourier interferometer attains it
+    bound = symmetric_quantum_min(m, eta(stats))
+    for seed in range(40):
+        setup = QuantumSetup(random_unitary(m, seed), tuple(stats for _ in range(m)))
+        assert quantum_gbar(setup).gbar >= bound - 1e-12
+    assert quantum_gbar(QuantumSetup(ftm(m), tuple(stats for _ in range(m)))).gbar == pytest.approx(
+        bound, abs=1e-12
+    )
+
+
+def test_weak_coherent_light_is_refused_not_certified():
+    # means of 1e-160 photons: their products leave the normal float range
+    setup = QuantumSetup(ftm(3), tuple(coherent(1e-160, 40) for _ in range(3)))
+    with pytest.raises(DegenerateSetupError, match="rescale"):
+        quantum_gbar(setup)
 
 
 def test_detector_subset_restricts_pairs():

@@ -30,15 +30,17 @@ def test_dict_round_trips_through_json():
 
 
 def test_gbar_must_match_ratio_mean():
-    with pytest.raises(ValueError):
-        CorrelationReport(
-            detectors=(0, 1),
-            intensity_means=np.array([1.0, 1.0]),
-            active_detectors=(0, 1),
-            pair_ratios=((0, 1, 0.5),),
-            gbar=0.9,
-            provenance="analytic",
-        )
+    # a non-finite gbar is refused too: NaN compares unequal to everything
+    for ratio, gbar in [(0.5, 0.9), (float("nan"), float("nan")), (float("inf"), float("inf"))]:
+        with pytest.raises(ValueError):
+            CorrelationReport(
+                detectors=(0, 1),
+                intensity_means=np.array([1.0, 1.0]),
+                active_detectors=(0, 1),
+                pair_ratios=((0, 1, ratio),),
+                gbar=gbar,
+                provenance="analytic",
+            )
 
 
 def test_measured_report_from_records():
