@@ -110,7 +110,9 @@ def classical_gbar(setup: ClassicalSetup) -> CorrelationReport:
     """
     moments = np.array([classical_moments(s) for s in setup.sources])
     m2, m4 = moments[:, 0], moments[:, 1]
-    means, products = _pair_matrix(setup.transfer, m2, m4 - m2**2, setup.overlap)
+    # moments past the float range are refused by the report, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        means, products = _pair_matrix(setup.transfer, m2, m4 - m2**2, setup.overlap)
     return assemble_report(
         range(setup.n_detectors), means, products, "analytic", energy_scale=setup.energy_scale
     )
@@ -190,11 +192,13 @@ def mc_estimate_gbar(
 
     def run(first: int, stop: int):  # the sums of batches first..stop-1
         rngs = [_generator_at(s, int(starts[first]) * setup.n_sources) for s in streams]
-        for size in sizes[first:stop]:
-            # the fields live until the next batch is drawn: freed sooner, their
-            # pages went back to the system and faulted in again every batch
-            fields = _sample_amplitudes(setup, tables, int(size), *rngs)
-            yield batch_sums(_intensities(setup, fields, modes))
+        # an overflowing intensity is refused by the report (the setting is per thread)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for size in sizes[first:stop]:
+                # the fields live until the next batch is drawn: freed sooner, their
+                # pages went back to the system and faulted in again every batch
+                fields = _sample_amplitudes(setup, tables, int(size), *rngs)
+                yield batch_sums(_intensities(setup, fields, modes))
 
     workers = _worker_count(sizes.size, int(sizes[0]) * setup.n_sources)
     edges = [sizes.size * w // workers for w in range(workers + 1)]

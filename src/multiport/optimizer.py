@@ -16,6 +16,7 @@ underpin the closed-form lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TextIO
 
 import numpy as np
@@ -53,29 +54,32 @@ class PsiConfiguration:
         return self.vectors.shape[1]
 
 
-def _objective(p: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Pair average of each configuration in a stack ``p`` of shape (..., M, N).
+@lru_cache(maxsize=None)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(m, 1)``, which takes longer than a small stack's kernel;
+    one entry per vector count, whose arrays callers only read."""
+    return np.triu_indices(m, 1)
 
-    ``pairs`` is ``np.triu_indices(M, 1)``, built once by the caller.
+
+def _value_and_gradient(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair average and Euclidean gradient of each configuration in a stack
+    ``p`` of shape (..., M, N), both from one Gram matrix.
+
+    ``f - 1`` is a homogeneous quartic, so ``f = 1 + Re<p, grad f> / 4`` by
+    Euler's identity (a check in the tests). The value is summed over the
+    pairs instead, as the one-restart reference descent sums it: a full step
+    on two vectors often lands on an exact tie of values, which a value
+    rounded another way breaks the other way.
     """
     m = p.shape[-2]
-    i, j = pairs
+    i, j = _pairs(m)
     gram = p.conj() @ p.swapaxes(-1, -2)
     weights = np.abs(p) ** 2
     coord = weights @ weights.swapaxes(-1, -2)
-    return 1.0 + (np.abs(gram[..., i, j]) ** 2 - coord[..., i, j]).sum(axis=-1) / (m * (m - 1) / 2)
-
-
-def _gradient(p: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of :func:`_objective` for each configuration in a stack."""
-    m = p.shape[-2]
-    gram = p.conj() @ p.swapaxes(-1, -2)
-    diagonal = np.arange(m)
-    gram[..., diagonal, diagonal] = 0.0
-    weights = np.abs(p) ** 2
-    cross = gram.conj() @ p
+    value = 1.0 + (np.abs(gram[..., i, j]) ** 2 - coord[..., i, j]).sum(axis=-1) / (m * (m - 1) / 2)
+    gram.reshape(*gram.shape[:-2], m * m)[..., :: m + 1] = 0.0  # the diagonal, as a strided view
     other = weights.sum(axis=-2, keepdims=True) - weights
-    return (4.0 / (m * (m - 1))) * (cross - p * other)
+    return value, (4.0 / (m * (m - 1))) * (gram.conj() @ p - p * other)
 
 
 def _vectors_of(config) -> np.ndarray:
@@ -94,7 +98,7 @@ def gbar_objective(config) -> float:
     vectors = _vectors_of(config)
     if vectors.shape[0] < 2:
         raise DimensionError("the pair average needs at least 2 vectors")
-    return float(_objective(vectors, np.triu_indices(vectors.shape[0], 1)))
+    return float(_value_and_gradient(vectors)[0])
 
 
 def gbar_gradient(config) -> np.ndarray:
@@ -107,7 +111,7 @@ def gbar_gradient(config) -> np.ndarray:
     vectors = _vectors_of(config)
     if vectors.shape[0] < 2:
         raise DimensionError("the pair average needs at least 2 vectors")
-    return _gradient(vectors)
+    return _value_and_gradient(vectors)[1]
 
 
 def optimal_configuration(n_sources: int, n_detectors: int) -> PsiConfiguration:
@@ -155,61 +159,79 @@ def _descend(
 
     Every configuration of the stack ``p`` (R, M, N) is one restart with its
     own step size, which halves until a step improves the value and doubles
-    (up to 1) after each accepted step. All restarts still descending move
-    together; within one iteration only those still waiting for an improving
-    step are evaluated again. Returns the final values, the final points, the
-    number of accepted steps per restart and, when ``record`` is set, each
-    restart's accepted values in order.
+    (up to 1) after each accepted step. The restarts still descending move
+    together, packed at the front of their stacks, and each trial costs one
+    kernel call: its value comes with its gradient, which the next iteration
+    reuses. A restart whose first trial fails tries its halvings
+    ``step * 2**-k`` above MIN_STEP in stacked calls of at most RESTART_BLOCK
+    configurations, and takes the first that improves, as halving one at a
+    time would. Returns the final values, the final points, the number of
+    accepted steps per restart and, when ``record`` is set, each restart's
+    accepted values in order.
     """
     r = p.shape[0]
-    pairs = np.triu_indices(p.shape[1], 1)
-    p = p.copy()
-    value = _objective(p, pairs)
+    final_value, final_p, steps = np.empty(r), np.empty_like(p), np.zeros(r, dtype=int)
+    value, grad = _value_and_gradient(p)
     lr = np.full(r, 0.5)
-    steps = np.zeros(r, dtype=int)
-    # the last STALL_WINDOW + 1 values of each restart; value k sits in slot k % width
+    live = np.arange(r)  # the restart of each row of p, value, grad and lr
+    # every live restart has accepted a step in each iteration so far, so the
+    # last STALL_WINDOW + 1 values share one ring: value k sits in row k % width
     width = STALL_WINDOW + 1
-    recent = np.empty((r, width))
-    recent[:, 0] = value
+    recent = np.empty((width, r))
+    recent[0] = value
     accepted: list[list[float]] = [[] for _ in range(r)]
-    active = np.arange(r)
-    for _ in range(max_iters):
-        if not active.size:
+    for it in range(1, max_iters + 1):
+        if not live.size:
             break
-        base = p[active]
-        grad = _gradient(base)
-        step = lr[active]
-        moved = np.zeros(active.size, dtype=bool)
-        waiting = np.arange(active.size)
-        while True:
-            waiting = waiting[step[waiting] > MIN_STEP]
-            if not waiting.size:
-                break
-            trial = _normalized_rows(base[waiting] - step[waiting, None, None] * grad[waiting])
-            trial_value = _objective(trial, pairs)
-            better = trial_value < value[active[waiting]]
-            won = active[waiting[better]]
-            p[won], value[won] = trial[better], trial_value[better]
-            moved[waiting[better]] = True
-            waiting = waiting[~better]
-            step[waiting] *= 0.5
-        done = active[moved]
-        lr[done] = np.minimum(step[moved] * 2.0, 1.0)
-        steps[done] += 1
-        recent[done, steps[done] % width] = value[done]
+        trial = _normalized_rows(p - lr[:, None, None] * grad)
+        trial_value, trial_grad = _value_and_gradient(trial)
+        moved = trial_value < value
+        if not moved.all():
+            waiting, halvings = np.flatnonzero(~moved), 0  # halvings tried by all of waiting
+            while True:
+                waiting = waiting[lr[waiting] * 0.5 ** (halvings + 1) > MIN_STEP]
+                if not waiting.size:
+                    break
+                left = int(np.log2(lr[waiting].max() / MIN_STEP)) - halvings
+                rungs = max(1, min(RESTART_BLOCK // waiting.size, left))
+                step = lr[waiting, None] * 0.5 ** np.arange(halvings + 1, halvings + rungs + 1)
+                ladder = _normalized_rows(
+                    p[waiting, None] - step[..., None, None] * grad[waiting, None]
+                )
+                ladder_value, ladder_grad = _value_and_gradient(ladder)
+                better = (ladder_value < value[waiting, None]) & (step > MIN_STEP)
+                found = better.any(axis=1)
+                won, first = waiting[found], better[found].argmax(axis=1)
+                trial[won], trial_grad[won] = ladder[found, first], ladder_grad[found, first]
+                trial_value[won], lr[won] = ladder_value[found, first], step[found, first]
+                moved[won] = True
+                waiting, halvings = waiting[~found], halvings + rungs
+            # a restart that found no step keeps its point, and retires below
+            trial = np.where(moved[:, None, None], trial, p)
+            trial_value = np.where(moved, trial_value, value)
+        p, value, grad = trial, trial_value, trial_grad
+        lr = np.minimum(lr * 2.0, 1.0)
+        recent[it % width] = value
         if record:
-            for k in done:
-                accepted[k].append(value[k])
-        stalled = (steps[done] >= STALL_WINDOW) & (
-            recent[done, (steps[done] + 1) % width] - value[done] < STALL_TOL
-        )
-        active = done[~stalled]
-    return value, p, steps, accepted
+            for k, v in zip(live[moved], value[moved].tolist()):
+                accepted[k].append(v)
+        retire = ~moved
+        if it >= STALL_WINDOW:
+            retire |= recent[(it + 1) % width] - value < STALL_TOL
+        if retire.any():
+            gone = live[retire]
+            final_value[gone], final_p[gone] = value[retire], p[retire]
+            steps[gone] = it - 1 + moved[retire]
+            keep = ~retire
+            live, p, value, grad, lr = (a[keep] for a in (live, p, value, grad, lr))
+            recent = recent[:, keep]
+    final_value[live], final_p[live], steps[live] = value, p, max_iters
+    return final_value, final_p, steps, accepted
 
 
 def _tangent_gradient_norm(p: np.ndarray) -> float:
     """Norm of the gradient projected onto the tangent space of the spheres."""
-    grad = _gradient(p)
+    grad = _value_and_gradient(p)[1]
     radial = (p.conj() * grad).real.sum(axis=-1, keepdims=True)
     return float(np.linalg.norm(grad - radial * p))
 

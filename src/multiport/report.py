@@ -26,6 +26,11 @@ PROVENANCES = ("analytic", "monte-carlo", "oracle", "measured")
 # Batches behind a batch-means stderr when the caller names no count.
 DEFAULT_BATCHES = 100
 
+_FLOAT_RANGE = (
+    "intensities outside the normal float range (in the sample or a batch): rescale"
+    " them, or use fewer batches if a batch is dark at an active detector"
+)
+
 
 @dataclass(frozen=True, eq=False)
 class CorrelationReport:
@@ -82,9 +87,12 @@ def active_positions(means: np.ndarray) -> np.ndarray:
     """Positions whose mean intensity exceeds the relative exclusion threshold.
 
     Raises:
-        DegenerateSetupError: if fewer than two positions are active.
+        DegenerateSetupError: if the brightest mean is not finite (an
+            intensity overflowed), or fewer than two positions are active.
     """
     top = float(np.max(means)) if means.size else 0.0
+    if not np.isfinite(top):
+        raise DegenerateSetupError(_FLOAT_RANGE)
     active = np.flatnonzero(means > RELATIVE_EXCLUSION * top) if top > 0 else np.array([], int)
     if active.size < 2:
         raise DegenerateSetupError(
@@ -108,10 +116,7 @@ def _pair_ratios(means: np.ndarray, products: np.ndarray, active: np.ndarray) ->
         norms = means[..., a] * means[..., b]
         ratios = products[..., a, b] / norms
     if not np.all((norms >= np.finfo(float).tiny) & (norms < np.inf) & np.isfinite(ratios)):
-        raise DegenerateSetupError(
-            "intensities outside the normal float range (in the sample or a batch): rescale"
-            " them, or use fewer batches if a batch is dark at an active detector"
-        )
+        raise DegenerateSetupError(_FLOAT_RANGE)
     return a, b, ratios
 
 
@@ -186,7 +191,8 @@ def report_from_batches(
     records the shot and batch counts.
     Monte Carlo and measured records share this estimator.
     """
-    sums, products, counts = zip(*batches)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without noise
+        sums, products, counts = zip(*batches)
     sum_i, sum_prod, sizes = np.array(sums), np.array(products), np.array(counts)
     shots = sizes.sum()
     means = sum_i.sum(axis=0) / shots

@@ -211,9 +211,10 @@ def pseudo_thermal_source(mean_intensity: float, levels: int = 32) -> ClassicalS
 
 def classical_moments(source: ClassicalSource) -> tuple[float, float]:
     """Probability-weighted (<|A|^2>, <|A|^4>) of the ensemble."""
-    a2 = source.amplitudes**2
-    m2 = float(source.probabilities @ a2)
-    m4 = float(source.probabilities @ a2**2)
+    with np.errstate(over="ignore"):  # an infinite moment is refused by the engines
+        a2 = source.amplitudes**2
+        m2 = float(source.probabilities @ a2)
+        m4 = float(source.probabilities @ a2**2)
     return m2, m4
 
 

@@ -541,6 +541,29 @@ def test_overflowing_intensity_mean_prints_one_error_line(tmp_path):
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "mode,amplitude,extra",
+    [("classical-mc", 1e160, {"shots": 2000}), ("classical-analytic", 1e80, {})],
+)
+def test_overflowing_light_is_refused_in_one_line(tmp_path, mode, amplitude, extra):
+    # the intensities (or their moments) leave the float range; before, Monte
+    # Carlo said that no detector received light, and numpy warned first
+    config = write_config(tmp_path, {
+        "mode": mode,
+        "interferometer": {"ftm": 3},
+        "sources": [{"kind": "fixed", "amplitude": amplitude}] * 3,
+        **extra,
+    })
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiport", "--config", config],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_ENGINE
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("engine error: intensities outside the normal float range")
+
+
 def test_huge_energy_scale_keeps_scale_free_ratios(tmp_path):
     payload = {
         "mode": "classical-analytic",

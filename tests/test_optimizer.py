@@ -273,6 +273,67 @@ def test_batched_steps_follow_reference_trajectory(n, m, seed):
         assert np.max(np.abs(mine[:steep] - np.array(history[1 : steep + 1]))) <= 1e-12
 
 
+# ----------------------------------------------------------- kernel
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 7),
+    n=st.integers(1, 6),
+    stack=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    on_spheres=st.booleans(),
+)
+def test_kernel_obeys_euler_identity_and_matches_reference(m, n, stack, seed, on_spheres):
+    # f - 1 is a homogeneous quartic, so f = 1 + Re<p, grad f> / 4
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((stack, m, n)) + 1j * rng.standard_normal((stack, m, n))
+    p /= np.linalg.norm(p, axis=-1, keepdims=True)
+    if not on_spheres:
+        p *= rng.uniform(0.5, 2.0, (stack, m, 1))
+    value, grad = optimizer._value_and_gradient(p)
+    assert value.shape == (stack,) and grad.shape == p.shape
+    scale = (np.abs(p) ** 2).sum(axis=(-2, -1)) ** 2
+    euler = (p.conj() * grad).real.sum(axis=(-2, -1)) / 4.0
+    assert np.all(np.abs(value - 1.0 - euler) <= 1e-13 * scale)
+    for k in range(stack):
+        assert abs(value[k] - reference_objective(p[k])) <= 1e-13 * scale[k]
+        expected = reference_gradient(p[k])
+        assert np.max(np.abs(grad[k] - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+
+def count_kernel_calls(monkeypatch):
+    """The stack shape (without M, N) of every kernel call from now on."""
+    calls = []
+    kernel = optimizer._value_and_gradient
+
+    def counted(p):
+        calls.append(p.shape[:-2])
+        return kernel(p)
+
+    monkeypatch.setattr(optimizer, "_value_and_gradient", counted)
+    return calls
+
+
+def test_each_trial_costs_one_kernel_call(monkeypatch):
+    # a failed trial's halvings go in one stacked call of at most
+    # RESTART_BLOCK configurations, as long as they fit
+    calls = count_kernel_calls(monkeypatch)
+    result = multistart_minimize(2, 3, restarts=20, seed=7)
+    assert len(calls) <= 2 * max(result.iterations) + 2
+    assert max(int(np.prod(shape)) for shape in calls) <= optimizer.RESTART_BLOCK
+
+
+def test_restart_at_its_minimum_retires_after_one_stacked_halving_call(monkeypatch):
+    # start, first trial, and every halving above MIN_STEP in one call
+    calls = count_kernel_calls(monkeypatch)
+    start = optimal_configuration(3, 3).vectors[None]
+    value, point, steps, _ = optimizer._descend(start, 2000, False)
+    assert len(calls) <= 3
+    assert steps[0] == 0 and np.array_equal(point, start)
+    assert value[0] == pytest.approx(classical_min(3, 3), abs=1e-12)
+
+
 def test_restart_blocks_do_not_change_results(monkeypatch):
     whole = multistart_minimize(3, 4, restarts=7, seed=5)
     monkeypatch.setattr(optimizer, "RESTART_BLOCK", 3)
