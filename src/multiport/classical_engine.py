@@ -145,20 +145,17 @@ def _sample_amplitudes(
     return fields
 
 
-def _intensities(setup: ClassicalSetup, fields: np.ndarray, modes: np.ndarray | None) -> np.ndarray:
-    """Detector intensities of each shot at unit energy scale."""
-    if modes is None:
-        # in row blocks that OpenBLAS does not thread (m·n·k < 2^16): after a
-        # threaded call its pool spins and takes a CPU from the sampler threads
-        step = max(1, (2**16 - 1) // setup.transfer.size)
-        out = np.empty((len(fields), setup.n_detectors), complex)
-        for r in range(0, len(fields), step):
-            np.matmul(fields[r : r + step], setup.transfer.T, out=out[r : r + step])
+def _intensities(setup: ClassicalSetup, fields: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Detector intensities of each shot at unit energy scale, summed over ``rows``' modes."""
+    # in row blocks that OpenBLAS does not thread (m·n·k < 2^16): after a
+    # threaded call its pool spins and takes a CPU from the sampler threads
+    step = max(1, (2**16 - 1) // rows.size)
+    out = np.empty((len(fields), rows.shape[0]), complex)
+    for r in range(0, len(fields), step):
+        np.matmul(fields[r : r + step], rows.T, out=out[r : r + step])
+    if rows.shape[0] == setup.n_detectors:
         return np.abs(out) ** 2
-    # per-source unit mode vectors: the detected field is a vector sum and the
-    # intensity its squared norm, reproducing the |V_ab|^2 interference factor
-    per_mode = np.einsum("ia,sak->sik", setup.transfer, fields[:, :, None] * modes[None])
-    return (np.abs(per_mode) ** 2).sum(axis=2)
+    return (np.abs(out) ** 2).reshape(len(fields), setup.n_detectors, -1).sum(axis=2)
 
 
 def _generator_at(stream: np.random.SeedSequence, draws: int) -> np.random.Generator:
@@ -184,7 +181,9 @@ def mc_estimate_gbar(
     rows of the two Philox streams once, so results are reproducible bit for
     bit for a fixed (seed, shots, batches) on any number of CPUs.
     """
-    modes = setup.overlap.mode_vectors() if setup.overlap is not None else None
+    rows = setup.transfer
+    if setup.overlap is not None:  # detector i's internal modes k: W[(i, k), a] = T_ia v_ak
+        rows = (rows[:, None, :] * setup.overlap.mode_vectors().T).reshape(-1, setup.n_sources)
     tables = [np.cumsum(src.probabilities) for src in setup.sources]
     streams = np.random.SeedSequence(seed).spawn(2)  # phases, picks
     sizes = batch_sizes(shots, batches)
@@ -198,7 +197,7 @@ def mc_estimate_gbar(
                 # the fields live until the next batch is drawn: freed sooner, their
                 # pages went back to the system and faulted in again every batch
                 fields = _sample_amplitudes(setup, tables, int(size), *rngs)
-                yield batch_sums(_intensities(setup, fields, modes))
+                yield batch_sums(_intensities(setup, fields, rows))
 
     workers = _worker_count(sizes.size, int(sizes[0]) * setup.n_sources)
     edges = [sizes.size * w // workers for w in range(workers + 1)]

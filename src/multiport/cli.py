@@ -67,9 +67,16 @@ def _finite(token: str) -> float:
     return value
 
 
+def _real(value) -> float:
+    """A config real number: a JSON number, never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
     """A config count: an integer, or a float with no fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
         raise ConfigError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -117,7 +124,7 @@ def _records(values) -> list[_Fields]:
 
 
 def _floats(value) -> list:
-    return np.array(value, dtype=float).tolist()
+    return [_floats(v) for v in value] if isinstance(value, list) else _real(value)
 
 
 def _realizations(record: _Fields) -> ClassicalSource:
@@ -131,15 +138,15 @@ def _realizations(record: _Fields) -> ClassicalSource:
 _PHOTON_KINDS = {
     "fock": lambda r: fock(r.read("n", _integer)),
     "vacuum": lambda r: fock(0),
-    "coherent": lambda r: coherent(r.read("mean", float), r.read("cutoff", _integer, 40)),
-    "thermal": lambda r: thermal(r.read("mean", float), r.read("cutoff", _integer, 80)),
-    "squeezed": lambda r: squeezed_vacuum(r.read("r", float), r.read("cutoff", _integer, 60)),
+    "coherent": lambda r: coherent(r.read("mean", _real), r.read("cutoff", _integer, 40)),
+    "thermal": lambda r: thermal(r.read("mean", _real), r.read("cutoff", _integer, 80)),
+    "squeezed": lambda r: squeezed_vacuum(r.read("r", _real), r.read("cutoff", _integer, 60)),
     "custom": lambda r: PhotonStatistics(r.read("pmf", _floats)),
 }
 _CLASSICAL_KINDS = {
-    "fixed": lambda r: fixed_source(r.read("amplitude", float)),
+    "fixed": lambda r: fixed_source(r.read("amplitude", _real)),
     "pseudo-thermal": lambda r: pseudo_thermal_source(
-        r.read("mean_intensity", float), r.read("levels", _integer, 32)
+        r.read("mean_intensity", _real), r.read("levels", _integer, 32)
     ),
     "custom": _realizations,
 }
@@ -176,7 +183,7 @@ def _classical_setup(fields: _Fields) -> ClassicalSetup:
     overlap = fields.read("overlap", _Fields, None)
     if overlap is not None:
         overlap = OverlapMatrix(load_matrix(overlap.read("file")))
-    energy = fields.read("energy_scale", float, 1.0)
+    energy = fields.read("energy_scale", _real, 1.0)
     return ClassicalSetup(transfer, sources, overlap=overlap, energy_scale=energy)
 
 
@@ -194,7 +201,7 @@ def _quantum_setup(fields: _Fields, broadcast: bool = False) -> QuantumSetup:
     stats = tuple(r.build(_PHOTON_KINDS) for r in records)
     det_cfg = fields.read("detectors", default="all")
     detectors = None if det_cfg == "all" else tuple(_integer(d) for d in det_cfg)
-    energy = fields.read("energy_scale", float, 1.0)
+    energy = fields.read("energy_scale", _real, 1.0)
     setup = QuantumSetup(unitary, stats, detectors=detectors, energy_scale=energy)
     fields["detectors"] = list(setup.detectors)
     return setup
@@ -216,7 +223,7 @@ def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
         rep = mc_estimate_gbar(setup, shots, seed, batches=batches)
     elif mode == "oracle":
         photon_limit = fields.read("photon_limit", _integer, DEFAULT_PHOTON_LIMIT)
-        prune_tol = fields.read("prune_tol", float, DEFAULT_PRUNE_TOL)
+        prune_tol = fields.read("prune_tol", _real, DEFAULT_PRUNE_TOL)
         rep = oracle_gbar(setup, photon_limit=photon_limit, prune_tol=prune_tol)
     else:
         rep = (classical_gbar if mode == "classical-analytic" else quantum_gbar)(setup)
@@ -252,25 +259,19 @@ def _run_divisibility(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
 def _run_bounds(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     m_min = fields.read("m_min", _integer, 2)
     m_max = fields.read("m_max", _integer, 10)
-    eta_value = fields.read("eta", float, 1.0)
+    eta_value = fields.read("eta", _real, 1.0)
     if m_min < 2 or m_max < m_min:
         raise ConfigError("bounds mode needs 2 <= m_min <= m_max")
-    rows = []
-    for m in range(m_min, m_max + 1):
-        rows.append(
-            {
-                "m": m,
-                "classical_min": bounds.classical_min(m, m),
-                "symmetric_quantum_min": bounds.symmetric_quantum_min(m, eta_value),
-                "divisibility_threshold": bounds.divisibility_threshold(m, eta_value),
-            }
-        )
-    header = "m\tclassical_min\tsymmetric_quantum_min\tdivisibility_threshold"
-    lines = [header] + [
-        f"{r['m']}\t{r['classical_min']:.12g}\t{r['symmetric_quantum_min']:.12g}"
-        f"\t{r['divisibility_threshold']:.12g}"
-        for r in rows
+    rows = [
+        {
+            "m": m,
+            "classical_min": bounds.classical_min(m, m),
+            "symmetric_quantum_min": bounds.symmetric_quantum_min(m, eta_value),
+            "divisibility_threshold": bounds.divisibility_threshold(m, eta_value),
+        }
+        for m in range(m_min, m_max + 1)
     ]
+    lines = ["\t".join(rows[0])] + ["\t".join(f"{v:.12g}" for v in r.values()) for r in rows]
     fields.optional("table_out")  # main writes the table, once the report is out
     return {"thresholds": rows}, lines
 
@@ -304,15 +305,15 @@ def _run_optimize(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
 
 def _run_witness(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     kind = fields.read("witness_kind", default="nonclassicality")
-    gbar = fields.read("gbar", float)
-    stderr = fields.read("stderr", float, None)
+    gbar = fields.read("gbar", _real)
+    stderr = fields.read("stderr", _real, None)
     batches = fields.optional("batches", _integer)
     if kind == "nonclassicality":
         witness = bounds.nonclassicality_witness
         args = fields.read("n_sources", _integer), fields.read("n_detectors", _integer)
     elif kind == "divisibility":
         witness = bounds.divisibility_witness
-        args = fields.read("n_modes", _integer), fields.read("eta", float)
+        args = fields.read("n_modes", _integer), fields.read("eta", _real)
     else:
         raise ConfigError(f"unknown witness_kind {kind!r}")
     verdict = witness(gbar, *args, stderr=stderr, batches=batches)
@@ -395,9 +396,9 @@ def main(argv=None) -> int:
     except (DimensionError, MatrixValidationError, InvalidStatisticsError) as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except (MultiportError, OSError, TypeError, ValueError) as exc:
+    except (MultiportError, OSError, TypeError, ValueError, OverflowError) as exc:
         # ConfigError, unreadable files, malformed field values and values that
-        # overflow to a non-finite number in the report exit 2, other errors 4
+        # overflow a float, in the config or the report, exit 2, other errors 4
         engine = isinstance(exc, MultiportError) and not isinstance(exc, ConfigError)
         print(f"{'engine' if engine else 'config'} error: {exc}", file=sys.stderr)
         return EXIT_ENGINE if engine else EXIT_CONFIG

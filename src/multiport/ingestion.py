@@ -85,14 +85,14 @@ def _number(field: str) -> float | None:
 def read_shot_records(
     lines: Iterable[str] | str | os.PathLike, delimiter: str | None = None
 ) -> tuple[list[ShotRecord], int]:
-    """Parse delimiter-separated intensity records, one shot per line.
+    """Parse intensity records, one shot per line, split at ``delimiter`` or,
+    without one, at commas if the first line has any, else at whitespace.
 
     ``lines`` may be a path (a ``str`` is always a path, never record text)
-    or an iterable of lines. An optional first line whose fields are all
-    non-numeric labels is treated as a header and fixes the detector count.
-    Shots with a wrong column count or unparseable, negative, or non-finite
-    values are rejected rather than imputed; the rejected count is returned
-    alongside the accepted records.
+    or an iterable of lines. An optional first line of non-numeric labels is
+    a header and fixes the detector count. Shots with a wrong column count or
+    unparseable, negative, or non-finite values are rejected rather than
+    imputed; the rejected count is returned alongside the accepted records.
     """
     if isinstance(lines, (str, os.PathLike)):
         with open(lines, encoding="utf-8") as fh:
@@ -104,7 +104,7 @@ def read_shot_records(
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if delimiter is None and "," in line:
+        if delimiter is None and n_columns is None and not rejected and "," in line:
             delimiter = ","
         fields = [_number(f) for f in line.split(delimiter)]
         if None in fields:

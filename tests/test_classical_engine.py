@@ -307,13 +307,60 @@ def test_mc_one_batch_has_no_stderr():
         mc_estimate_gbar(hom_setup(), shots=1000, seed=0, batches=1)
 
 
+# ----------------------------------------------------------- internal modes
+
+
+def per_mode_intensities(setup, fields):
+    """The independent route for overlaps: each field carries its source's unit
+    mode vector, the detected field is their vector sum and the intensity its
+    squared norm."""
+    modes = setup.overlap.mode_vectors()
+    per_mode = np.einsum("ia,sak->sik", setup.transfer, fields[:, :, None] * modes[None])
+    return (np.abs(per_mode) ** 2).sum(axis=2)
+
+
+def random_overlap(rng, n, rank):
+    vectors = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    return OverlapMatrix(vectors @ vectors.conj().T)
+
+
+@pytest.mark.parametrize("full_rank", [False, True])
+@pytest.mark.parametrize("shape", [(3, 3), (16, 16), (5, 3), (2, 6)])
+def test_internal_mode_rows_match_the_per_mode_vector_sum(monkeypatch, shape, full_rank):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    transfer = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    overlap = random_overlap(rng, shape[1], shape[1] if full_rank else 2)
+    sources = tuple(pseudo_thermal_source(0.5 + 0.1 * a) for a in range(shape[1]))
+    setup = ClassicalSetup(transfer, sources, overlap=overlap)
+    propagate, seen = engine._intensities, []
+
+    def recording(setup, fields, rows):
+        intensities = propagate(setup, fields, rows)
+        seen.append((fields.copy(), intensities))
+        return intensities
+
+    monkeypatch.setattr(engine, "_intensities", recording)
+    monkeypatch.setattr(engine, "_worker_count", lambda batches, draws: 1)
+    # batches of 1, 3 and 10^4 shots; the last crosses several row blocks
+    for shots, batches in [(3, 3), (9, 3), (20000, 2)]:
+        mc_estimate_gbar(setup, shots, 5, batches)
+    assert {len(fields) for fields, _ in seen} == {1, 3, 10000}
+    for fields, intensities in seen:
+        np.testing.assert_allclose(intensities, per_mode_intensities(setup, fields), rtol=1e-12, atol=0)
+
+
 # ----------------------------------------------------------- serial reference
 # The reference for the threaded sampler: the serial loop it replaced, one
-# batch after another from a single pass over both Philox streams.
+# batch after another from a single pass over both Philox streams, through the
+# same rows: the transfer matrix, or with overlaps one row per detector and
+# internal mode, W[(i, k), a] = T_ia v_ak.
 
 
 def reference_mc(setup, shots, seed, batches=DEFAULT_BATCHES):
-    modes = setup.overlap.mode_vectors() if setup.overlap is not None else None
+    rows = setup.transfer
+    if setup.overlap is not None:
+        rows = (rows[:, None, :] * setup.overlap.mode_vectors().T).reshape(-1, setup.n_sources)
     phase_ss, pick_ss = np.random.SeedSequence(seed).spawn(2)
     phase_rng = np.random.Generator(np.random.Philox(phase_ss))
     pick_rng = np.random.Generator(np.random.Philox(pick_ss))
@@ -329,11 +376,8 @@ def reference_mc(setup, shots, seed, batches=DEFAULT_BATCHES):
                 idx = np.minimum(np.searchsorted(cum, picks[:, a], side="right"), cum.size - 1)
                 amps[:, a] = src.amplitudes[idx]
             fields = amps * np.exp(1j * phases)
-            if modes is None:
-                yield np.abs(fields @ setup.transfer.T) ** 2
-            else:
-                per_mode = np.einsum("ia,sak->sik", setup.transfer, fields[:, :, None] * modes[None])
-                yield (np.abs(per_mode) ** 2).sum(axis=2)
+            # a sum over one internal mode is exact, so it needs no branch here
+            yield (np.abs(fields @ rows.T) ** 2).reshape(size, setup.n_detectors, -1).sum(axis=2)
 
     return report_from_batches(map(batch_sums, blocks()), "monte-carlo", setup.energy_scale)
 

@@ -817,7 +817,7 @@ def with_field(config, path, value):
 @pytest.mark.parametrize("field", INTEGER_FIELDS)
 def test_integer_fields_refuse_fractions_and_booleans(tmp_path, capsys, field):
     config, path, value = INTEGER_FIELDS[field]
-    for bad in (value + 0.5, True):
+    for bad in (value + 0.5, True, str(value)):  # and numbers spelled as strings
         code, _, out_path = run_cli(tmp_path, with_field(config, path, bad))
         assert code == EXIT_CONFIG and not out_path.exists()
         assert capsys.readouterr().err.startswith("config error: expected an integer")
@@ -825,3 +825,53 @@ def test_integer_fields_refuse_fractions_and_booleans(tmp_path, capsys, field):
     code, report, _ = run_cli(tmp_path, with_field(config, path, float(value)))
     assert code == EXIT_OK
     assert report == run_cli(tmp_path, with_field(config, path, value))[1]
+
+
+WITNESS = {"mode": "witness", "gbar": 0.45, "n_sources": 2, "n_detectors": 2}
+
+# each real-valued field in a config that reads it, with the leaves of the
+# number lists: the config, the path to the field and a valid integer value
+REAL_FIELDS = {
+    "amplitude": (HOM_CLASSICAL, ["sources", 0, "amplitude"], 1),
+    "mean_intensity": ({**HOM_CLASSICAL, "sources": [PSEUDO_THERMAL, FIXED]},
+                       ["sources", 0, "mean_intensity"], 2),
+    "realizations": ({**HOM_CLASSICAL, "sources": [{"kind": "custom", "realizations": [[1, 1]]}, FIXED]},
+                     ["sources", 0, "realizations", 0, 1], 2),
+    "energy_scale (classical)": (HOM_CLASSICAL, ["energy_scale"], 2),
+    "energy_scale (quantum)": (HOM_QUANTUM, ["energy_scale"], 2),
+    "coherent mean": ({**HOM_QUANTUM, "sources": [COHERENT, FOCK]}, ["sources", 0, "mean"], 2),
+    "thermal mean": ({**HOM_QUANTUM, "sources": [{"kind": "thermal", "mean": 1}, FOCK]},
+                     ["sources", 0, "mean"], 2),
+    "r": ({**HOM_QUANTUM, "sources": [{"kind": "squeezed", "r": 1, "cutoff": 200}, FOCK]},
+          ["sources", 0, "r"], 1),
+    "pmf": ({**HOM_QUANTUM, "sources": [{"kind": "custom", "pmf": [0, 1]}, FOCK]}, ["sources", 0, "pmf", 1], 1),
+    "prune_tol": ({**HOM_QUANTUM, "mode": "oracle"}, ["prune_tol"], 0),
+    "eta (bounds)": ({"mode": "bounds"}, ["eta"], 1),
+    "eta (witness)": ({"mode": "witness", "witness_kind": "divisibility", "gbar": 0.5, "n_modes": 4},
+                      ["eta"], 1),
+    "gbar": (WITNESS, ["gbar"], 1),
+    "stderr": (WITNESS, ["stderr"], 0),
+}
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS)
+def test_real_fields_refuse_booleans_and_strings(tmp_path, capsys, field):
+    config, path, value = REAL_FIELDS[field]
+    for bad in (True, False, str(value)):
+        code, _, out_path = run_cli(tmp_path, with_field(config, path, bad))
+        assert code == EXIT_CONFIG and not out_path.exists()
+        assert capsys.readouterr().err.startswith("config error: expected a number")
+    # a JSON integer is the number, in the run, and echoed as a float
+    code, report, _ = run_cli(tmp_path, with_field(config, path, value))
+    assert code == EXIT_OK
+    echoed = report["config"]
+    for key in path:
+        echoed = echoed[key]
+    assert type(echoed) is float and echoed == value
+    assert report == run_cli(tmp_path, with_field(config, path, float(value)))[1]
+
+
+def test_a_real_field_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    code, _, out_path = run_cli(tmp_path, with_field(HOM_CLASSICAL, ["sources", 0, "amplitude"], 10**400))
+    assert code == EXIT_CONFIG and not out_path.exists()
+    assert capsys.readouterr().err.startswith("config error:")

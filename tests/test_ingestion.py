@@ -110,6 +110,19 @@ def test_reader_detects_commas():
     records, rejected = read_shot_records(["1.0,2.0", "3.0,4.0"])
     assert rejected == 0
     assert np.array_equal(records[0].intensities, [1.0, 2.0])
+    # a CSV header decides the delimiter for the whole file
+    records, rejected = read_shot_records(["a,b,c", "1,2,3", "4 5 6", "7,8,9"])
+    assert [r.intensities.tolist() for r in records] == [[1, 2, 3], [7, 8, 9]]
+    assert rejected == 1
+
+
+def test_a_comma_in_a_later_row_rejects_only_that_row():
+    records, rejected = read_shot_records(["1 2 3", "4,5 6", "7 8 9", "1 1 1"])
+    assert [r.intensities.tolist() for r in records] == [[1, 2, 3], [7, 8, 9], [1, 1, 1]]
+    assert rejected == 1
+    # a malformed first row still decides the delimiter
+    records, rejected = read_shot_records(["1 x 2", "1,2 3", "4 5 6"])
+    assert len(records) == 1 and rejected == 2
 
 
 def test_reader_rejects_bad_shots():
