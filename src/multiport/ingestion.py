@@ -90,7 +90,8 @@ def read_shot_records(
 
     ``lines`` may be a path (a ``str`` is always a path, never record text)
     or an iterable of lines. An optional first line of non-numeric labels is
-    a header and fixes the detector count. Shots with a wrong column count or
+    a header and fixes the detector count; a line of labels anywhere else is
+    rejected. Shots with a wrong column count or
     unparseable, negative, or non-finite values are rejected rather than
     imputed; the rejected count is returned alongside the accepted records.
     """
@@ -104,11 +105,12 @@ def read_shot_records(
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if delimiter is None and n_columns is None and not rejected and "," in line:
+        first = n_columns is None and not rejected  # the first non-comment line
+        if delimiter is None and first and "," in line:
             delimiter = ","
         fields = [_number(f) for f in line.split(delimiter)]
         if None in fields:
-            if n_columns is None and all(f is None for f in fields):
+            if first and all(f is None for f in fields):
                 n_columns = len(fields)  # header with detector labels
             else:
                 rejected += 1

@@ -7,16 +7,16 @@ function of M unit vectors in C^N:
     f(psi) = 1 + mean over pairs i<j of [ |<psi_i, psi_j>|^2
                                           - sum_a |psi_i(a) psi_j(a)|^2 ].
 
-This module evaluates f, its analytic gradient, runs a multistart projected
-gradient descent over the product of unit spheres, with all restarts moving
-together as one (R, M, N) stack, and checks the two frame inequalities that
-underpin the closed-form lower bound.
+This module evaluates f and its analytic gradient, runs a multistart
+Riemannian Barzilai-Borwein descent over the product of unit spheres, with
+all restarts moving together as one (R, M, N) stack, and checks the two
+frame inequalities that underpin the closed-form lower bound.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TextIO
 
 import numpy as np
@@ -54,32 +54,25 @@ class PsiConfiguration:
         return self.vectors.shape[1]
 
 
-@lru_cache(maxsize=None)
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(m, 1)``, which takes longer than a small stack's kernel;
-    one entry per vector count, whose arrays callers only read."""
-    return np.triu_indices(m, 1)
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real inner product of each configuration of two (..., M, N) stacks."""
+    return (a.conj() * b).real.sum(axis=(-2, -1))
 
 
 def _value_and_gradient(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair average and Euclidean gradient of each configuration in a stack
     ``p`` of shape (..., M, N), both from one Gram matrix.
 
-    ``f - 1`` is a homogeneous quartic, so ``f = 1 + Re<p, grad f> / 4`` by
-    Euler's identity (a check in the tests). The value is summed over the
-    pairs instead, as the one-restart reference descent sums it: a full step
-    on two vectors often lands on an exact tie of values, which a value
-    rounded another way breaks the other way.
+    ``f - 1`` is a homogeneous quartic, so the value is ``1 + Re<p, grad f> / 4``
+    by Euler's identity (checked against the sum over pairs in the tests).
     """
     m = p.shape[-2]
-    i, j = _pairs(m)
     gram = p.conj() @ p.swapaxes(-1, -2)
-    weights = np.abs(p) ** 2
-    coord = weights @ weights.swapaxes(-1, -2)
-    value = 1.0 + (np.abs(gram[..., i, j]) ** 2 - coord[..., i, j]).sum(axis=-1) / (m * (m - 1) / 2)
     gram.reshape(*gram.shape[:-2], m * m)[..., :: m + 1] = 0.0  # the diagonal, as a strided view
+    weights = np.abs(p) ** 2
     other = weights.sum(axis=-2, keepdims=True) - weights
-    return value, (4.0 / (m * (m - 1))) * (gram.conj() @ p - p * other)
+    grad = (4.0 / (m * (m - 1))) * (gram.conj() @ p - p * other)
+    return 1.0 + _inner(p, grad) / 4.0, grad
 
 
 def _vectors_of(config) -> np.ndarray:
@@ -140,11 +133,20 @@ def optimal_configuration(n_sources: int, n_detectors: int) -> PsiConfiguration:
 # bounded whatever ``restarts`` is: a block holds a few (block, M, N) complex
 # stacks and a (block, STALL_WINDOW + 1) history.
 RESTART_BLOCK = 64
-# A restart stops once its value fell by less than STALL_TOL over its last
-# STALL_WINDOW accepted steps, or when no step above MIN_STEP improves it.
+# A restart stops once its tangent gradient norm is below GRADIENT_TOL, once
+# its value fell by less than STALL_TOL over the last STALL_WINDOW passes, or
+# once its step has halved to MIN_STEP.
+GRADIENT_TOL = 1e-9
 STALL_WINDOW = 50
 STALL_TOL = 1e-12
 MIN_STEP = 1e-18
+# A step passes when it lowers the value ARMIJO * step * |tangent gradient|^2
+# below the largest of its values after the last NONMONOTONE passes. A
+# Barzilai-Borwein step that is not finite and positive becomes FALLBACK_STEP,
+# which is also every restart's first step.
+NONMONOTONE = 5
+ARMIJO = 1e-4
+FALLBACK_STEP = 4.0
 
 
 def _normalized_rows(p: np.ndarray) -> np.ndarray:
@@ -152,88 +154,80 @@ def _normalized_rows(p: np.ndarray) -> np.ndarray:
     return p / np.sqrt((p.conj() * p).real.sum(axis=-1, keepdims=True))
 
 
+def _tangent(p: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient minus its radial part, row by row: the gradient on the spheres."""
+    return grad - (p.conj() * grad).real.sum(axis=-1, keepdims=True) * p
+
+
 def _descend(
     p: np.ndarray, max_iters: int, record: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
-    """Projected gradient descent with renormalization and step halving.
+    """Riemannian Barzilai-Borwein descent on the product of spheres.
 
-    Every configuration of the stack ``p`` (R, M, N) is one restart with its
-    own step size, which halves until a step improves the value and doubles
-    (up to 1) after each accepted step. The restarts still descending move
-    together, packed at the front of their stacks, and each trial costs one
-    kernel call: its value comes with its gradient, which the next iteration
-    reuses. A restart whose first trial fails tries its halvings
-    ``step * 2**-k`` above MIN_STEP in stacked calls of at most RESTART_BLOCK
-    configurations, and takes the first that improves, as halving one at a
-    time would. Returns the final values, the final points, the number of
-    accepted steps per restart and, when ``record`` is set, each restart's
-    accepted values in order.
+    Every configuration of the stack ``p`` (R, M, N) is one restart. A step
+    moves along minus the tangent gradient and renormalizes the rows. Its
+    size alternates between the two Barzilai-Borwein rules ``<s,s>/<s,y>``
+    and ``<s,y>/<y,y>``, from the change ``s`` of the point and ``y`` of the
+    tangent gradient over the last accepted step. A step that fails the
+    nonmonotone Armijo test (against the largest of the last NONMONOTONE
+    values) is not taken and is halved for the next pass. The restarts still
+    descending move together, packed at the front of their stacks, and each
+    pass costs one kernel call. Returns the final values, the final points,
+    the number of accepted steps per restart and, when ``record`` is set,
+    each restart's accepted values in order.
     """
     r = p.shape[0]
     final_value, final_p, steps = np.empty(r), np.empty_like(p), np.zeros(r, dtype=int)
     value, grad = _value_and_gradient(p)
-    lr = np.full(r, 0.5)
-    live = np.arange(r)  # the restart of each row of p, value, grad and lr
-    # every live restart has accepted a step in each iteration so far, so the
-    # last STALL_WINDOW + 1 values share one ring: value k sits in row k % width
+    tangent = _tangent(p, grad)
+    lr = np.full(r, FALLBACK_STEP)
+    live = np.arange(r)  # the restart of each row of p, value, tangent, lr and count
+    count = np.zeros(r, dtype=int)
+    # the values after the last STALL_WINDOW + 1 passes, one column per live
+    # restart: the value after pass k sits in row k % width, and a row not yet
+    # written holds the start value
     width = STALL_WINDOW + 1
-    recent = np.empty((width, r))
-    recent[0] = value
+    recent = np.tile(value, (width, 1))
     accepted: list[list[float]] = [[] for _ in range(r)]
-    for it in range(1, max_iters + 1):
-        if not live.size:
-            break
-        trial = _normalized_rows(p - lr[:, None, None] * grad)
-        trial_value, trial_grad = _value_and_gradient(trial)
-        moved = trial_value < value
-        if not moved.all():
-            waiting, halvings = np.flatnonzero(~moved), 0  # halvings tried by all of waiting
-            while True:
-                waiting = waiting[lr[waiting] * 0.5 ** (halvings + 1) > MIN_STEP]
-                if not waiting.size:
-                    break
-                left = int(np.log2(lr[waiting].max() / MIN_STEP)) - halvings
-                rungs = max(1, min(RESTART_BLOCK // waiting.size, left))
-                step = lr[waiting, None] * 0.5 ** np.arange(halvings + 1, halvings + rungs + 1)
-                ladder = _normalized_rows(
-                    p[waiting, None] - step[..., None, None] * grad[waiting, None]
-                )
-                ladder_value, ladder_grad = _value_and_gradient(ladder)
-                better = (ladder_value < value[waiting, None]) & (step > MIN_STEP)
-                found = better.any(axis=1)
-                won, first = waiting[found], better[found].argmax(axis=1)
-                trial[won], trial_grad[won] = ladder[found, first], ladder_grad[found, first]
-                trial_value[won], lr[won] = ladder_value[found, first], step[found, first]
-                moved[won] = True
-                waiting, halvings = waiting[~found], halvings + rungs
-            # a restart that found no step keeps its point, and retires below
-            trial = np.where(moved[:, None, None], trial, p)
-            trial_value = np.where(moved, trial_value, value)
-        p, value, grad = trial, trial_value, trial_grad
-        lr = np.minimum(lr * 2.0, 1.0)
-        recent[it % width] = value
-        if record:
-            for k, v in zip(live[moved], value[moved].tolist()):
-                accepted[k].append(v)
-        retire = ~moved
+    for it in itertools.count():
+        slope = _inner(tangent, tangent)
+        retire = (slope < GRADIENT_TOL**2) | (lr <= MIN_STEP) | (count == max_iters)
         if it >= STALL_WINDOW:
             retire |= recent[(it + 1) % width] - value < STALL_TOL
         if retire.any():
             gone = live[retire]
-            final_value[gone], final_p[gone] = value[retire], p[retire]
-            steps[gone] = it - 1 + moved[retire]
+            final_value[gone], final_p[gone], steps[gone] = value[retire], p[retire], count[retire]
             keep = ~retire
-            live, p, value, grad, lr = (a[keep] for a in (live, p, value, grad, lr))
+            live, p, value, tangent, lr, slope, count = (
+                a[keep] for a in (live, p, value, tangent, lr, slope, count)
+            )
             recent = recent[:, keep]
-    final_value[live], final_p[live], steps[live] = value, p, max_iters
+            if not live.size:
+                break
+        ceiling = recent[(it - np.arange(NONMONOTONE)) % width].max(axis=0)
+        trial = _normalized_rows(p - lr[:, None, None] * tangent)
+        trial_value, trial_grad = _value_and_gradient(trial)
+        moved = trial_value <= ceiling - ARMIJO * lr * slope
+        trial_tangent = _tangent(trial, trial_grad)
+        s, y = trial - p, trial_tangent - tangent
+        with np.errstate(all="ignore"):  # s = 0 or y = 0 gives no finite step
+            bb = _inner(s, s) / _inner(s, y) if it % 2 == 0 else _inner(s, y) / _inner(y, y)
+        bb = np.where(np.isfinite(bb) & (bb > 0), bb, FALLBACK_STEP)
+        lr = np.where(moved, bb, 0.5 * lr)
+        p = np.where(moved[:, None, None], trial, p)
+        tangent = np.where(moved[:, None, None], trial_tangent, tangent)
+        value = np.where(moved, trial_value, value)
+        count += moved
+        recent[(it + 1) % width] = value
+        if record:
+            for k, v in zip(live[moved], value[moved].tolist()):
+                accepted[k].append(v)
     return final_value, final_p, steps, accepted
 
 
 def _tangent_gradient_norm(p: np.ndarray) -> float:
     """Norm of the gradient projected onto the tangent space of the spheres."""
-    grad = _value_and_gradient(p)[1]
-    radial = (p.conj() * grad).real.sum(axis=-1, keepdims=True)
-    return float(np.linalg.norm(grad - radial * p))
+    return float(np.linalg.norm(_tangent(p, _value_and_gradient(p)[1])))
 
 
 @dataclass(frozen=True, eq=False)

@@ -259,7 +259,10 @@ class OverlapMatrix:
         """Unit mode vectors (one per row) whose Gram matrix reproduces V.
 
         Built from the eigendecomposition so rank-deficient V (e.g. identical
-        or fully distinguishable modes) factorizes cleanly.
+        or fully distinguishable modes) factorizes cleanly. There is one
+        column per eigenvalue above ``dim * eps * largest``, so the vectors
+        have as many components as V has numerical rank.
         """
         vals, vecs = np.linalg.eigh(self.matrix)
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
+        keep = vals > self.dim * np.finfo(float).eps * vals[-1]
+        return vecs[:, keep] * np.sqrt(vals[keep])

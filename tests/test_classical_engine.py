@@ -350,6 +350,33 @@ def test_internal_mode_rows_match_the_per_mode_vector_sum(monkeypatch, shape, fu
         np.testing.assert_allclose(intensities, per_mode_intensities(setup, fields), rtol=1e-12, atol=0)
 
 
+def test_a_rank_two_overlap_propagates_two_internal_modes(monkeypatch):
+    # numerically zero eigencolumns of the overlap are no internal modes
+    rng = np.random.default_rng(12)
+    transfer = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    sources = tuple(pseudo_thermal_source(0.5 + 0.1 * a) for a in range(6))
+    setup = ClassicalSetup(transfer, sources, overlap=random_overlap(rng, 6, 2))
+    propagate, shapes = engine._intensities, set()
+
+    def recording(setup, fields, rows):
+        shapes.add(rows.shape)
+        return propagate(setup, fields, rows)
+
+    monkeypatch.setattr(engine, "_intensities", recording)
+    report = mc_estimate_gbar(setup, 20000, 3)
+    assert shapes == {(2 * 4, 6)}
+    vals, vecs = np.linalg.eigh(setup.overlap.matrix)
+    every = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    monkeypatch.setattr(OverlapMatrix, "mode_vectors", lambda self: every)
+    every_column = mc_estimate_gbar(setup, 20000, 3)
+    assert shapes == {(2 * 4, 6), (6 * 4, 6)}
+    np.testing.assert_allclose(
+        [report.gbar, report.stderr, *report_values(report)],
+        [every_column.gbar, every_column.stderr, *report_values(every_column)],
+        rtol=1e-12, atol=0,
+    )
+
+
 # ----------------------------------------------------------- serial reference
 # The reference for the threaded sampler: the serial loop it replaced, one
 # batch after another from a single pass over both Philox streams, through the

@@ -159,6 +159,12 @@ def test_reader_counts_malformed_first_row_as_rejected():
     assert rejected == 1
     records, rejected = read_shot_records(["a b c", "1 2 3"])
     assert len(records) == 1 and rejected == 0
+    # a row of labels after it is no header: rejected, and the detector
+    # count comes from the first data row
+    records, rejected = read_shot_records(["1 2 x", "a b", "1 2", "4 5"])
+    assert len(records) == 2 and rejected == 2
+    records, rejected = read_shot_records(["1 2 x", "a b c", "1 2", "4 5"])
+    assert [r.intensities.tolist() for r in records] == [[1, 2], [4, 5]] and rejected == 2
 
 
 def test_estimate_is_a_projection_of_the_report():
