@@ -267,6 +267,8 @@ def multistart_minimize(
         raise DimensionError("need at least 2 detectors")
     if n_sources < 1 or restarts < 1:
         raise DimensionError("need n_sources >= 1 and restarts >= 1")
+    if max_iters < 0:
+        raise DimensionError("max_iters must be >= 0")
     children = np.random.SeedSequence(seed).spawn(restarts)
     values, iterations = [], []
     best, best_point = 0, None

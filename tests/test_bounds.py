@@ -199,6 +199,19 @@ def test_enough_batches_certify(batches):
     )
 
 
+@pytest.mark.parametrize("batches", [None, MIN_CERTIFY_BATCHES])
+@pytest.mark.parametrize("sigmas,expected", [(2.95, "inconclusive"), (3.05, "certified")])
+def test_the_sigma_rule_at_its_edge(batches, sigmas, expected):
+    # a rule of 2.9 or 3.1 standard errors flips one of these verdicts
+    stderr = 0.01
+    verdict = nonclassicality_witness(0.5 - sigmas * stderr, 2, 2, stderr=stderr, batches=batches)
+    assert verdict.classification == {"certified": "nonclassical"}.get(expected, expected)
+    assert verdict.confidence_sigmas == pytest.approx(sigmas, abs=1e-9)
+    threshold = divisibility_threshold(4, 1.0)
+    verdict = divisibility_witness(threshold - sigmas * stderr, 4, 1.0, stderr=stderr, batches=batches)
+    assert verdict.classification == {"certified": "indivisible-certified"}.get(expected, expected)
+
+
 @pytest.mark.parametrize("batches", [2, MIN_CERTIFY_BATCHES - 1])
 def test_few_batches_withhold_every_certificate(batches):
     for stderr in (0.01, None):

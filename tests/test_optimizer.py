@@ -167,6 +167,11 @@ def test_minimize_validation():
         minimize_classical_gbar(2, 1, restarts=1, seed=0)
     with pytest.raises(DimensionError):
         minimize_classical_gbar(0, 3, restarts=1, seed=0)
+    # a negative cap never matched an iteration count, so the restarts ran to convergence
+    with pytest.raises(DimensionError, match="max_iters"):
+        multistart_minimize(2, 3, restarts=2, seed=0, max_iters=-1)
+    with pytest.raises(DimensionError, match="max_iters"):
+        minimize_classical_gbar(2, 3, restarts=1, seed=0, max_iters=-1)
 
 
 # ----------------------------------------------------------- reference descent
