@@ -35,7 +35,7 @@ class ClassicalSetup:
 
     The energy scale multiplies every intensity and provably cancels in the
     normalized pair average; it is kept so intensity reports carry physical
-    meaning.
+    meaning. Row i of the transfer matrix is detector i of ``detectors``.
     """
 
     transfer: np.ndarray
@@ -56,6 +56,7 @@ class ClassicalSetup:
             raise DimensionError("energy scale must be positive")
         object.__setattr__(self, "transfer", arr)
         object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "detectors", tuple(range(arr.shape[0])))
 
     @property
     def n_detectors(self) -> int:
@@ -64,6 +65,14 @@ class ClassicalSetup:
     @property
     def n_sources(self) -> int:
         return self.transfer.shape[1]
+
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-source mean power <|A|^2> and fluctuation weight
+        <|A|^4> - <|A|^2>^2, which is never negative."""
+        m2, m4 = np.array([classical_moments(s) for s in self.sources]).T
+        # moments past the float range are refused by the report, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return m2, m4 - m2**2
 
 
 def _pair_matrix(
@@ -102,19 +111,18 @@ def _pair_matrix(
     return means, np.outer(means, means) + (interference + fluctuation)
 
 
-def classical_gbar(setup: ClassicalSetup) -> CorrelationReport:
-    """Closed-form normalized pair average over all active detectors.
+def classical_gbar(setup) -> CorrelationReport:
+    """Closed-form normalized pair average over all active detectors of a
+    ClassicalSetup or a QuantumSetup: they differ only in ``weights()``.
 
     The report is the engine's answer: it holds the intensity means and every
     pair ratio, so <I_i I_j> = ratio * mean_i * mean_j.
     """
-    moments = np.array([classical_moments(s) for s in setup.sources])
-    m2, m4 = moments[:, 0], moments[:, 1]
-    # moments past the float range are refused by the report, without numpy's warnings
+    w, f = setup.weights()
     with np.errstate(over="ignore", invalid="ignore"):
-        means, products = _pair_matrix(setup.transfer, m2, m4 - m2**2, setup.overlap)
+        means, products = _pair_matrix(setup.transfer, w, f, setup.overlap)
     return assemble_report(
-        range(setup.n_detectors), means, products, "analytic", energy_scale=setup.energy_scale
+        setup.detectors, means, products, "analytic", energy_scale=setup.energy_scale
     )
 
 

@@ -41,7 +41,6 @@ from .sources import (
     ClassicalSource,
     OverlapMatrix,
     PhotonStatistics,
-    classical_moments,
     coherent,
     eta,
     fixed_source,
@@ -210,12 +209,7 @@ def _quantum_setup(fields: _Fields, broadcast: bool = False) -> QuantumSetup:
 def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     """classical-analytic, classical-mc, quantum and oracle: a report and its witness."""
     mode = fields["mode"]
-    if mode.startswith("classical"):
-        setup = _classical_setup(fields)
-        powers = [classical_moments(s)[0] for s in setup.sources]
-    else:
-        setup = _quantum_setup(fields)
-        powers = [q.mean for q in setup.stats]
+    setup = (_classical_setup if mode.startswith("classical") else _quantum_setup)(fields)
     if mode == "classical-mc":
         shots = fields.read("shots", _integer)
         seed = fields.read("seed", _integer, 0)
@@ -226,8 +220,8 @@ def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
         prune_tol = fields.read("prune_tol", _real, DEFAULT_PRUNE_TOL)
         rep = oracle_gbar(setup, photon_limit=photon_limit, prune_tol=prune_tol)
     else:
-        rep = (classical_gbar if mode == "classical-analytic" else quantum_gbar)(setup)
-    n_sources = sum(1 for p in powers if p > 0)
+        rep = classical_gbar(setup)
+    n_sources = int(np.count_nonzero(setup.weights()[0] > 0))
     n_detectors = len(rep.active_detectors)
     verdict = bounds.nonclassicality_witness(rep, n_sources, n_detectors)
     witness = {**verdict.to_dict(), "n_sources": n_sources, "n_detectors": n_detectors}

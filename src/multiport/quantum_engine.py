@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_engine import _pair_matrix
+from .classical_engine import classical_gbar
 from .errors import DimensionError, OracleLimitError
-from .interferometer import UnitaryMatrix
+from .interferometer import UnitaryMatrix, as_complex_matrix
 from .report import CorrelationReport, assemble_report
 from .sources import PhotonStatistics
 
@@ -30,13 +30,15 @@ class QuantumSetup:
     """Unitary evolution, per-port photon statistics, monitored outputs.
 
     Unused input ports carry vacuum statistics; ``detectors`` selects the
-    monitored output modes (all of them by default).
+    monitored output modes (all of them by default), the rows ``transfer`` of
+    the unitary. Photons of all ports share one mode: ``overlap`` is None.
     """
 
     unitary: UnitaryMatrix
     stats: tuple[PhotonStatistics, ...]
     detectors: tuple[int, ...] | None = None
     energy_scale: float = 1.0
+    overlap = None
 
     def __post_init__(self):
         m = self.unitary.dim
@@ -54,26 +56,20 @@ class QuantumSetup:
             raise DimensionError("energy scale must be positive")
         object.__setattr__(self, "stats", stats)
         object.__setattr__(self, "detectors", detectors)
+        object.__setattr__(self, "transfer", as_complex_matrix(self.unitary.matrix[list(detectors)]))
 
     @property
     def n_modes(self) -> int:
         return self.unitary.dim
 
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-port mean photon number <n> and number weight var - <n>, negative
+        exactly for sub-Poissonian statistics: the term that beats the classical bound."""
+        nbar = np.array([q.mean for q in self.stats])
+        return nbar, np.array([q.variance for q in self.stats]) - nbar
 
-def quantum_gbar(setup: QuantumSetup) -> CorrelationReport:
-    """Closed-form normalized pair average over the active monitored detectors.
 
-    The per-source term carries variance minus mean, negative exactly for
-    sub-Poissonian statistics; that term lets quantum inputs beat the
-    classical bound.
-    """
-    nbar = np.array([q.mean for q in setup.stats])
-    var = np.array([q.variance for q in setup.stats])
-    rows = setup.unitary.matrix[list(setup.detectors)]
-    means, products = _pair_matrix(rows, nbar, var - nbar)
-    return assemble_report(
-        setup.detectors, means, products, "analytic", energy_scale=setup.energy_scale
-    )
+quantum_gbar = classical_gbar
 
 
 def _lowered_norms(occ: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +143,6 @@ def oracle_gbar(
     configuration, with probability 1: the oracle of that pure state.
     """
     det, m = setup.detectors, setup.n_modes
-    rows = setup.unitary.matrix[list(det)]
     upper = np.triu_indices(len(det), 1)
     means, products, pruned, kept = np.zeros(len(det)), np.zeros((len(det),) * 2), 0.0, 0
     block_rows = max(1, ORACLE_BLOCK_BYTES // (16 * upper[0].size * m * (m + 1) // 2))
@@ -158,7 +153,7 @@ def oracle_gbar(
                 f"configuration {tuple(int(n) for n in occ[over[0]])} exceeds the oracle"
                 f" budget of {photon_limit} photons; raise photon_limit or lower the source cutoffs"
             )
-        block_means, block_pairs = _lowered_norms(occ, rows)
+        block_means, block_pairs = _lowered_norms(occ, setup.transfer)
         means += probs @ block_means
         products[upper] += probs @ block_pairs
         pruned += mass
