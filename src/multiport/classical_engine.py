@@ -52,8 +52,8 @@ class ClassicalSetup:
             )
         if self.overlap is not None and self.overlap.dim != len(sources):
             raise DimensionError("overlap matrix must be n_sources x n_sources")
-        if not (self.energy_scale > 0):
-            raise DimensionError("energy scale must be positive")
+        if not (0 < self.energy_scale < np.inf):
+            raise DimensionError("energy scale must be positive and finite")
         object.__setattr__(self, "transfer", arr)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "detectors", tuple(range(arr.shape[0])))

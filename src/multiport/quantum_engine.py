@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_engine import classical_gbar
-from .errors import DimensionError, OracleLimitError
+from .errors import DegenerateSetupError, DimensionError, OracleLimitError
 from .interferometer import UnitaryMatrix, as_complex_matrix
-from .report import CorrelationReport, assemble_report
+from .report import CorrelationReport, active_positions, assemble_report
 from .sources import PhotonStatistics
 
 DEFAULT_PHOTON_LIMIT = 6
@@ -46,14 +46,16 @@ class QuantumSetup:
         if len(stats) != m:
             raise DimensionError(f"need one PhotonStatistics per mode: {m} != {len(stats)}")
         detectors = tuple(range(m)) if self.detectors is None else tuple(self.detectors)
+        if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in detectors):
+            raise DimensionError(f"detector indices must be integers, got {detectors!r}")
         if len(set(detectors)) != len(detectors):
             raise DimensionError("detector indices must be distinct")
         if any(not 0 <= d < m for d in detectors):
             raise DimensionError(f"detector indices out of range for {m} modes")
         if len(detectors) < 2:
             raise DimensionError("need at least two monitored detectors")
-        if not (self.energy_scale > 0):
-            raise DimensionError("energy scale must be positive")
+        if not (0 < self.energy_scale < np.inf):
+            raise DimensionError("energy scale must be positive and finite")
         object.__setattr__(self, "stats", stats)
         object.__setattr__(self, "detectors", detectors)
         object.__setattr__(self, "transfer", as_complex_matrix(self.unitary.matrix[list(detectors)]))
@@ -158,6 +160,14 @@ def oracle_gbar(
         products[upper] += probs @ block_pairs
         pruned += mass
         kept += probs.size
+    if pruned > 0:
+        try:
+            active_positions(means)
+        except DegenerateSetupError:
+            raise OracleLimitError(
+                f"prune_tol = {prune_tol!r} pruned probability mass {pruned:.3g}, and the kept"
+                " configurations light fewer than two detectors; lower prune_tol"
+            ) from None
     e = setup.energy_scale
     return assemble_report(
         det, means, products, "oracle", pruned_mass=pruned, configurations=kept, energy_scale=e

@@ -189,6 +189,12 @@ def test_setup_validation():
         )
 
 
+@pytest.mark.parametrize("scale", [math.inf, math.nan])
+def test_setup_refuses_a_non_finite_energy_scale(scale):
+    with pytest.raises(DimensionError, match="positive and finite"):
+        ClassicalSetup(ftm(2).matrix, (fixed_source(1.0),) * 2, energy_scale=scale)
+
+
 # ----------------------------------------------------------- invariants
 
 

@@ -175,6 +175,20 @@ def test_oracle_mode(tmp_path):
     assert corr["pruned_mass"] < 1e-10
 
 
+@pytest.mark.parametrize("prune_tol", [10, 0.3])
+def test_oracle_that_prunes_the_light_blames_prune_tol(tmp_path, capsys, prune_tol):
+    payload = {
+        "mode": "oracle",
+        "interferometer": {"ftm": 3},
+        "sources": [{"kind": "coherent", "mean": 0.5, "cutoff": 12}] * 3,
+        "prune_tol": prune_tol,
+    }
+    code, report, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_ENGINE
+    assert report is None
+    assert capsys.readouterr().err.startswith(f"engine error: prune_tol = {float(prune_tol)!r} pruned")
+
+
 def test_witness_mode_direct_numbers(tmp_path):
     payload = {
         "mode": "witness",

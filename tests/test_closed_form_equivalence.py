@@ -173,6 +173,35 @@ def test_quantum_gbar_matches_pair_loop(seed):
         )
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_setups_share_one_read_surface(seed):
+    classical, quantum = classical_case(seed), quantum_case(seed)
+    m, n = classical.transfer.shape
+    assert classical.detectors == tuple(range(m))
+    assert np.array_equal(quantum.transfer, quantum.unitary.matrix[list(quantum.detectors)])
+    assert quantum.overlap is None
+    for setup in (classical, quantum):
+        assert setup.transfer.dtype == complex
+        with pytest.raises(ValueError):
+            setup.transfer[0, 0] = 0.0
+
+    p = [s.probabilities for s in classical.sources]
+    a2 = [s.amplitudes**2 for s in classical.sources]
+    m2 = np.array([pk @ ak for pk, ak in zip(p, a2)])
+    m4 = np.array([pk @ ak**2 for pk, ak in zip(p, a2)])
+    w, f = classical.weights()
+    np.testing.assert_allclose(w, m2, rtol=TOL)
+    np.testing.assert_allclose(f, m4 - m2**2, rtol=TOL, atol=TOL * np.max(m4))
+    assert np.all(f >= -TOL * np.max(m4))
+
+    photons = [np.arange(q.pmf.size) for q in quantum.stats]
+    nbar = np.array([q.pmf @ k for q, k in zip(quantum.stats, photons)])
+    var = np.array([q.pmf @ (k - mean) ** 2 for q, k, mean in zip(quantum.stats, photons, nbar)])
+    w, f = quantum.weights()
+    np.testing.assert_allclose(w, nbar, rtol=TOL)
+    np.testing.assert_allclose(f, var - nbar, rtol=1e-10, atol=1e-10 * max(1.0, np.max(nbar)))
+
+
 def test_cases_cover_the_required_features():
     classical = [classical_case(s) for s in range(30)]
     quantum = [quantum_case(s) for s in range(30)]

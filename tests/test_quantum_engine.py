@@ -178,6 +178,23 @@ def test_setup_validation():
         QuantumSetup(ftm(2), (fock(1), fock(1)), detectors=(0, 5))
 
 
+@pytest.mark.parametrize("scale", [math.inf, math.nan])
+def test_setup_refuses_a_non_finite_energy_scale(scale):
+    with pytest.raises(DimensionError, match="positive and finite"):
+        QuantumSetup(ftm(2), (fock(1),) * 2, energy_scale=scale)
+
+
+@pytest.mark.parametrize("detectors", [(0.5, 2), (0.0, 2.0), (True, 2), (np.bool_(False), 2)])
+def test_setup_refuses_detector_labels_that_are_not_integers(detectors):
+    with pytest.raises(DimensionError, match="integers"):
+        QuantumSetup(ftm(3), (fock(1),) * 3, detectors=detectors)
+
+
+def test_numpy_integer_detector_labels_are_accepted():
+    report = quantum_gbar(QuantumSetup(ftm(3), (fock(1),) * 3, detectors=np.array([0, 2])))
+    assert report.detectors == (0, 2)
+
+
 # ----------------------------------------------------------- invariants
 
 
@@ -262,6 +279,14 @@ def test_oracle_budget_and_validation():
         QuantumSetup(ftm(2), (fock(1),) * 3)
     with pytest.raises(DimensionError):
         QuantumSetup(ftm(2), (fock(1), fock(1)), detectors=(1, 1))
+
+
+@pytest.mark.parametrize("prune_tol", [math.nan, math.inf, 0.3])
+def test_oracle_blames_prune_tol_when_it_removed_the_light(prune_tol):
+    # at these tolerances no configuration of three coherent inputs is kept
+    setup = QuantumSetup(ftm(3), (coherent(0.5, 12),) * 3)
+    with pytest.raises(OracleLimitError, match="prune_tol .* pruned probability mass"):
+        oracle_gbar(setup, prune_tol=prune_tol)
 
 
 def test_oracle_gbar_single_photons():
