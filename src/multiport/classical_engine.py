@@ -119,6 +119,7 @@ def classical_gbar(setup) -> CorrelationReport:
     pair ratio, so <I_i I_j> = ratio * mean_i * mean_j.
     """
     w, f = setup.weights()
+    # as in weights(): what overflows here is refused by the report
     with np.errstate(over="ignore", invalid="ignore"):
         means, products = _pair_matrix(setup.transfer, w, f, setup.overlap)
     return assemble_report(

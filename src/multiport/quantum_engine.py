@@ -164,6 +164,8 @@ def oracle_gbar(
         try:
             active_positions(means)
         except DegenerateSetupError:
+            # a setup that lights fewer than two detectors anyway is refused as such
+            active_positions(np.abs(setup.transfer) ** 2 @ setup.weights()[0])
             raise OracleLimitError(
                 f"prune_tol = {prune_tol!r} pruned probability mass {pruned:.3g}, and the kept"
                 " configurations light fewer than two detectors; lower prune_tol"

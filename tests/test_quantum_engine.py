@@ -21,6 +21,7 @@ from multiport import (
     classical_gbar,
     classical_min,
     coherent,
+    direct_sum,
     eta,
     fixed_source,
     fock,
@@ -287,6 +288,13 @@ def test_oracle_blames_prune_tol_when_it_removed_the_light(prune_tol):
     setup = QuantumSetup(ftm(3), (coherent(0.5, 12),) * 3)
     with pytest.raises(OracleLimitError, match="prune_tol .* pruned probability mass"):
         oracle_gbar(setup, prune_tol=prune_tol)
+
+
+def test_oracle_blames_a_dark_setup_not_prune_tol():
+    # detector 1 never receives light; the thermal tail is pruned all the same
+    setup = QuantumSetup(direct_sum(ftm(1), ftm(1)), (thermal(1.0, 80), fock(0)))
+    with pytest.raises(DegenerateSetupError, match="fewer than two detectors"):
+        oracle_gbar(setup, photon_limit=100)
 
 
 def test_oracle_gbar_single_photons():
