@@ -142,7 +142,9 @@ def oracle_gbar(
     distribution a block at a time, checking each block against
     ``photon_limit`` before computing its amplitudes. The report records the
     kept configurations and the pruned probability mass. Fock inputs keep one
-    configuration, with probability 1: the oracle of that pure state.
+    configuration, with probability 1: the oracle of that pure state. When
+    pruning leaves fewer than two of the detectors that the setup lights
+    receiving light, it raises :class:`OracleLimitError` naming ``prune_tol``.
     """
     det, m = setup.detectors, setup.n_modes
     upper = np.triu_indices(len(det), 1)

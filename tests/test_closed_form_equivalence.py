@@ -176,8 +176,7 @@ def test_quantum_gbar_matches_pair_loop(seed):
 @pytest.mark.parametrize("seed", range(30))
 def test_setups_share_one_read_surface(seed):
     classical, quantum = classical_case(seed), quantum_case(seed)
-    m, n = classical.transfer.shape
-    assert classical.detectors == tuple(range(m))
+    assert classical.detectors == tuple(range(classical.n_detectors))
     assert np.array_equal(quantum.transfer, quantum.unitary.matrix[list(quantum.detectors)])
     assert quantum.overlap is None
     for setup in (classical, quantum):
