@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, check_seed
 from .interferometer import as_complex_matrix
 from .report import (
     DEFAULT_BATCHES,
@@ -136,9 +136,6 @@ _TURNS = np.float64(2**12)
 _STEP = 2.0 * np.pi / _TURNS
 _SIN_SERIES = (_STEP, -(_STEP**3) / 6.0)
 _COS_SERIES = (-(_STEP**2) / 2.0, _STEP**4 / 24.0)
-# x + _MAGIC holds a nonnegative integer x < 2^51 in the low bits of its mantissa
-_MAGIC = np.float64(1.5 * 2.0**52)
-_MAGIC_BITS = _MAGIC.view(np.int64)
 
 
 def _turn_table() -> np.ndarray:
@@ -163,37 +160,31 @@ def _chunk_shots(n: int, rows: int, m: int) -> int:
     return max(1, min(_CHUNK_DRAWS // n, 4 * _CHUNK_DRAWS // (rows + m)))
 
 
-def _as_index(x: np.ndarray) -> np.ndarray:
-    """The integer-valued floats x (0 <= x < 2^51) as int64, in place."""
-    x += _MAGIC
-    index = x.view(np.int64)
-    index -= _MAGIC_BITS
-    return index
-
-
 def _phasors(u: np.ndarray, x: np.ndarray, f: np.ndarray, w: np.ndarray):
     """Write cos 2 pi u and sin 2 pi u to ``x[..., 0]`` and ``x[..., 1]``.
 
     ``u`` (consumed), ``f`` and the complex scratch ``w`` share one shape.
     The nearest table turn k gives z = exp(i a), and the residual r = 2^12 u
     - k (exact, |r| <= 1/2) the series w = (cos theta - 1) + i sin theta of
-    theta = r * _STEP; then exp(i (a + theta)) = z + z w.
+    theta = r * _STEP; then exp(i (a + theta)) = z + z w. The series runs in
+    the halves of ``x`` before z goes there: contiguous, unlike ``w``'s parts.
     """
     u *= _TURNS
     np.rint(u, out=f)
     u -= f
+    r2, t = x.reshape(2, *u.shape)
+    np.multiply(u, u, out=r2)
+    (s1, s3), (c2, c4) = _SIN_SERIES, _COS_SERIES
+    np.multiply(r2, s3, out=t)
+    t += s1
+    np.multiply(t, u, out=w.imag)
+    np.multiply(r2, c4, out=u)
+    u += c2
+    np.multiply(u, r2, out=w.real)
+    index = u.view(np.int64)  # the turns k, exactly: f holds integers
+    np.copyto(index, f, casting="unsafe")
     z = x.view(complex).reshape(u.shape)
-    _TURN_TABLE.take(_as_index(f), out=z, mode="clip")
-    np.multiply(u, u, out=f)
-    s1, s3 = _SIN_SERIES
-    c2, c4 = _COS_SERIES
-    sin_t, cos_t = w.imag, w.real
-    np.multiply(f, s3, out=sin_t)
-    sin_t += s1
-    sin_t *= u
-    np.multiply(f, c4, out=cos_t)
-    cos_t += c2
-    cos_t *= f
+    _TURN_TABLE.take(index, out=z, mode="clip")
     w *= z
     z += w
 
@@ -238,12 +229,13 @@ def _alias_picks(sources: tuple[ClassicalSource, ...]):
     return np.float64(cells), np.repeat(np.concatenate(q), 2), np.concatenate(amplitudes).ravel()
 
 
-def _pick_amplitudes(v, picks, offsets, f, out, flags) -> np.ndarray:
+def _pick_amplitudes(v, picks, offsets, f, out, index) -> np.ndarray:
     """The amplitudes that the pick draws ``v`` (consumed) choose from the
     alias tables ``picks`` of :func:`_alias_picks`, into ``out``.
 
     ``offsets`` holds 2 a cells in source a's column; ``f`` is scratch of
-    ``v``'s shape and ``flags`` a boolean array of that shape.
+    ``v``'s shape, which then holds the boolean flags, and ``index`` an
+    int64 array of that shape.
     """
     cells, q, amplitudes = picks
     v *= cells  # below cells even for v = 1 - 2^-53: the product rounds down
@@ -251,9 +243,9 @@ def _pick_amplitudes(v, picks, offsets, f, out, flags) -> np.ndarray:
     v -= f
     f += f
     f += offsets
-    index = _as_index(f)
+    np.copyto(index, f, casting="unsafe")
     q.take(index, out=out, mode="clip")
-    index += np.greater_equal(v, out, out=flags)
+    index += np.greater_equal(v, out, out=f.reshape(-1).view(bool)[: v.size].reshape(v.shape))
     return amplitudes.take(index, out=out, mode="clip")
 
 
@@ -294,9 +286,10 @@ def _intensities(x: np.ndarray, g: np.ndarray, y: np.ndarray, out: np.ndarray) -
 def _workspace(chunk: int, n: int, rows: int, m: int, picks):
     """Views for one thread's chunks of up to ``chunk`` shots, by chunk size,
     into one array of seven regions of draws: the fields x (shots x n x 2)
-    in the first two; (shots x n) scratch u and f in the next two; in the two
-    after, the complex scratch w of the phasors, then the picked amplitudes
-    and boolean flags; and the alias cell offsets (2 a cells in column a)
+    in the first two, which hold the phasor series before the fields; (shots
+    x n) scratch u and f in the next two; in the two after, the complex
+    scratch w of the phasors, which the picks then reuse for the amplitudes
+    and int64 cell indices; and the alias cell offsets (2 a cells in column a)
     in the last. Propagation puts its ``rows`` amplitudes and ``m``
     intensities over the four scratch regions.
 
@@ -320,12 +313,12 @@ def _workspace(chunk: int, n: int, rows: int, m: int, picks):
     def views(shots: int) -> tuple:
         if shots not in cache:
             d = shots * n
-            u, f, amps, flags = (work[k * region : k * region + d] for k in range(2, 6))
+            u, f, amps, index = (work[k * region : k * region + d] for k in range(2, 6))
             w = work[4 * region : 4 * region + 2 * d].view(complex)
             y = work[2 * region : 2 * region + rows * shots].reshape(rows, shots)
             out = work[2 * region + rows * shots : 2 * region + (rows + m) * shots].reshape(m, shots)
             cache[shots] = tuple(
-                a.reshape(shots, n) for a in (u, f, w, amps, flags.view(bool)[:d])
+                a.reshape(shots, n) for a in (u, f, w, amps, index.view(np.int64))
             ) + (work[: 2 * d].reshape(shots, n, 2), y, out, offsets[:shots])
         return cache[shots]
 
@@ -333,12 +326,9 @@ def _workspace(chunk: int, n: int, rows: int, m: int, picks):
 
 
 def _generator_at(stream: np.random.SeedSequence, draws: int) -> np.random.Generator:
-    """A Philox generator of ``stream`` after ``draws`` draws: Philox is
-    counter-based, four draws per step, so it skips them without drawing."""
-    bits = np.random.Philox(stream)
-    bits.advance(draws // 4)
-    bits.random_raw(draws % 4)
-    return np.random.Generator(bits)
+    """A PCG64 generator of ``stream`` after ``draws`` draws: each double
+    takes one 64-bit output, and ``advance`` skips them without drawing."""
+    return np.random.Generator(np.random.PCG64(stream).advance(draws))
 
 
 def mc_estimate_gbar(
@@ -351,21 +341,24 @@ def mc_estimate_gbar(
     point estimate is the ratio of full-sample means; the standard error
     comes from the spread of the same statistic over equal shot batches.
 
-    Shot s of source a takes draw s N + a of two Philox streams: u of the
+    Shot s of source a takes draw s N + a of two PCG64 streams: u of the
     phase stream is the phase 2 pi u, and v of the pick stream picks a level
     from the source's alias table (drawn only when some source has more than
-    one level). A batch is summed in chunks of :func:`_chunk_shots` shots, in
-    order, and each thread reuses one workspace for all its chunks, so memory
-    does not grow with ``shots``. The batches are cut into one contiguous
-    range per thread, up to one thread per available CPU for large batches;
-    each range seeks its first rows of the two streams once, so results are
-    reproducible bit for bit for a fixed (seed, shots, batches) on any
-    number of CPUs.
+    one level), by which the phasor is then multiplied. A batch is summed in
+    chunks of :func:`_chunk_shots` shots, in order, and each thread reuses
+    one workspace for all its chunks, so memory does not grow with
+    ``shots``. The batches are cut into one contiguous range per thread, up
+    to one thread per available CPU for large batches; each range seeks its
+    first rows of the two streams once, so results are reproducible bit for
+    bit for a fixed (seed, shots, batches) on any number of CPUs. The seed
+    and the counts must be integers (Python or numpy, not bool), the seed
+    non-negative, else ``PreconditionError``; fewer than two shots or
+    batches raise ``InsufficientSamplesError``.
     """
     n = setup.n_sources
     g = _propagator(setup)
     picks = _alias_picks(setup.sources)
-    streams = np.random.SeedSequence(seed).spawn(2)  # phases, picks
+    streams = np.random.SeedSequence(check_seed(seed)).spawn(2)  # phases, picks
     sizes = batch_sizes(shots, batches).tolist()
     starts = np.cumsum(sizes) - sizes
     chunk = min(_chunk_shots(n, len(g), setup.n_detectors), sizes[0])
@@ -378,12 +371,11 @@ def mc_estimate_gbar(
             for size in sizes[first:stop]:
                 total = None
                 for begin in range(0, size, chunk):
-                    u, f, w, amps, flags, x, y, out, offsets = views(min(chunk, size - begin))
+                    u, f, w, amps, index, x, y, out, offsets = views(min(chunk, size - begin))
                     _phasors(phase_rng.random(out=u), x, f, w)
-                    if picks:
-                        _pick_amplitudes(pick_rng.random(out=u), picks, offsets, f, amps, flags)
-                        x[..., 0] *= amps
-                        x[..., 1] *= amps
+                    if picks:  # one complex product scales both parts of the phasor
+                        amps = _pick_amplitudes(pick_rng.random(out=u), picks, offsets, f, amps, index)
+                        x.view(complex)[..., 0] *= amps
                     sums = batch_sums(_intensities(x, g, y, out).T)
                     total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
                 yield total

@@ -80,6 +80,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A config seed: a non-negative integer."""
+    seed = _integer(value)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {value!r}")
+    return seed
+
+
 class _Fields(dict):
     """The resolved config: each field a mode read, as :meth:`read` returned
     it, and the values derived from those fields, assigned directly. A nested
@@ -160,7 +168,7 @@ def _build_unitary(spec: _Fields) -> UnitaryMatrix:
         return ftm(spec.read("ftm", _integer))
     if kind == "random":
         args = spec.read("random", _Fields)
-        return random_unitary(args.read("dim", _integer), args.read("seed", _integer, 0))
+        return random_unitary(args.read("dim", _integer), args.read("seed", _seed, 0))
     if kind == "direct_sum":
         parts = spec.read("direct_sum", _records)
         if len(parts) != 2:
@@ -212,7 +220,7 @@ def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     setup = (_classical_setup if mode.startswith("classical") else _quantum_setup)(fields)
     if mode == "classical-mc":
         shots = fields.read("shots", _integer)
-        seed = fields.read("seed", _integer, 0)
+        seed = fields.read("seed", _seed, 0)
         batches = fields.read("batches", _integer, DEFAULT_BATCHES)
         rep = mc_estimate_gbar(setup, shots, seed, batches=batches)
     elif mode == "oracle":
@@ -274,7 +282,7 @@ def _run_optimize(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     n_sources = fields.read("n_sources", _integer)
     n_detectors = fields.read("n_detectors", _integer)
     restarts = fields.read("restarts", _integer, 20)
-    seed = fields.read("seed", _integer, 0)
+    seed = fields.read("seed", _seed, 0)
     trace = sys.stderr if verbose else None
     result = multistart_minimize(n_sources, n_detectors, restarts=restarts, seed=seed, trace=trace)
     value = result.value

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the argument checks that
+several modules make."""
+
+import numbers
 
 
 class MultiportError(Exception):
@@ -43,3 +46,19 @@ class PreconditionError(MultiportError, ValueError):
 
 class ConfigError(MultiportError, ValueError):
     """Experiment configuration is malformed or inconsistent."""
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int, if it is an integer: Python's or numpy's, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_seed(seed) -> int:
+    """A seed as an int. Only a non-negative integer seeds a reproducible
+    result: numpy would take None as fresh OS entropy."""
+    seed = check_integer(seed, "seed")
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
+    return seed

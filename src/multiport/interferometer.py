@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MatrixValidationError
+from .errors import DimensionError, MatrixValidationError, check_seed
 
 # Max-norm tolerance on U^dag U - 1: tight enough to catch construction bugs,
 # loose enough for accumulated floating-point error up to m = 64.
@@ -93,14 +93,15 @@ def direct_sum(u1: UnitaryMatrix, u2: UnitaryMatrix) -> UnitaryMatrix:
 
 
 def random_unitary(m: int, seed: int) -> UnitaryMatrix:
-    """Haar-distributed random unitary, deterministic for a fixed seed.
+    """Haar-distributed random unitary, deterministic for a fixed seed (a
+    non-negative integer, else ``PreconditionError``).
 
     QR of a complex Ginibre matrix with the R diagonal's phases absorbed
     into Q (Mezzadri's construction).
     """
     if m < 1:
         raise DimensionError("random unitary needs m >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

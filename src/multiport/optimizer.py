@@ -21,7 +21,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import DimensionError, MatrixValidationError
+from .errors import DimensionError, MatrixValidationError, check_seed
 
 NORM_TOL = 1e-10
 _INEQUALITY_TOL = 1e-10
@@ -257,7 +257,8 @@ def multistart_minimize(
 ) -> MultistartResult:
     """Multistart minimization of the classical pair average, with diagnostics.
 
-    Restart k starts from the k-th child of ``SeedSequence(seed)``. Restarts
+    Restart k starts from the k-th child of ``SeedSequence(seed)``; the seed
+    must be a non-negative integer (else ``PreconditionError``). Restarts
     descend together in blocks of ``RESTART_BLOCK``. The restart with the
     lowest final value wins, ties broken by the lower index. ``trace``
     receives one ``restart<TAB>iteration<TAB>value`` line per accepted step,
@@ -269,7 +270,7 @@ def multistart_minimize(
         raise DimensionError("need n_sources >= 1 and restarts >= 1")
     if max_iters < 0:
         raise DimensionError("max_iters must be >= 0")
-    children = np.random.SeedSequence(seed).spawn(restarts)
+    children = np.random.SeedSequence(check_seed(seed)).spawn(restarts)
     values, iterations = [], []
     best, best_point = 0, None
     for first in range(0, restarts, RESTART_BLOCK):

@@ -18,6 +18,7 @@ from multiport import (
     DimensionError,
     InsufficientSamplesError,
     OverlapMatrix,
+    PreconditionError,
     classical_gbar,
     classical_min,
     classical_moments,
@@ -303,6 +304,32 @@ def test_mc_requires_two_shots():
         mc_estimate_gbar(hom_setup(), shots=1, seed=0)
 
 
+def test_mc_refuses_a_seed_that_is_not_a_nonnegative_integer():
+    # None drew fresh OS entropy and True was taken as 1; -1 and 1.5 raised
+    # numpy's own ValueError and TypeError
+    for seed in (None, True, -1, 1.5):
+        with pytest.raises(PreconditionError, match="seed"):
+            mc_estimate_gbar(hom_setup(), 10**4, seed)
+
+
+@pytest.mark.parametrize(
+    "counts", [{"shots": 1e4}, {"batches": 2.5}, {"shots": True}, {"batches": np.True_}, {"shots": "1000"}]
+)
+def test_mc_refuses_counts_that_are_not_integers(counts):
+    # 1e4 shots and 2.5 batches raised a bare TypeError, True shots an
+    # InsufficientSamplesError that printed "got True"
+    with pytest.raises(PreconditionError, match=next(iter(counts))):
+        mc_estimate_gbar(hom_setup(), seed=0, **{"shots": 1000, "batches": 10, **counts})
+
+
+def test_mc_takes_numpy_integer_counts_and_seed():
+    expected = mc_estimate_gbar(hom_setup(), 1000, 3, 10)
+    assert same_report(mc_estimate_gbar(hom_setup(), np.int64(1000), np.uint32(3), np.int32(10)), expected)
+    for shots, batches in [(-5, 10), (1000, 0), (np.int64(1), 10)]:
+        with pytest.raises(InsufficientSamplesError):
+            mc_estimate_gbar(hom_setup(), shots, 0, batches)
+
+
 def test_column_major_transfer_and_overlap_are_accepted():
     sources = tuple(fixed_source(1.0) for _ in range(3))
     overlap = OverlapMatrix(np.asfortranarray(np.eye(3)))
@@ -502,9 +529,9 @@ def test_picks_follow_the_source_probabilities():
     source = ClassicalSource(np.array([0.25, 0.0, 0.75]), np.array([1.0, 2.0, 3.0]))
     picks = engine._alias_picks((source,))
     v = np.random.Generator(np.random.Philox(1)).random((200000, 1))
-    f, out, flags = np.empty(v.shape), np.empty(v.shape), np.empty(v.shape, bool)
+    f, out, index = np.empty(v.shape), np.empty(v.shape), np.empty(v.shape, np.int64)
     offsets = np.zeros(v.shape)
-    amps = engine._pick_amplitudes(v.copy(), picks, offsets, f, out, flags)
+    amps = engine._pick_amplitudes(v.copy(), picks, offsets, f, out, index)
     assert np.array_equal(amps, reference_amplitudes(v, picks))
     counts = np.array([np.count_nonzero(amps == level) for level in (1.0, 2.0, 3.0)])
     assert counts[1] == 0
@@ -639,8 +666,8 @@ def reference_mc(setup, shots, seed, batches=DEFAULT_BATCHES):
     picks = engine._alias_picks(setup.sources)
     chunk = engine._chunk_shots(n, len(g), setup.n_detectors)
     phase_ss, pick_ss = np.random.SeedSequence(seed).spawn(2)
-    phase_rng = np.random.Generator(np.random.Philox(phase_ss))
-    pick_rng = np.random.Generator(np.random.Philox(pick_ss))
+    phase_rng = np.random.Generator(np.random.PCG64(phase_ss))
+    pick_rng = np.random.Generator(np.random.PCG64(pick_ss))
 
     def batch(size):
         total = None
@@ -676,21 +703,18 @@ def bit_identity_setups():
     }
 
 
-# (shots, batches): fewer shots than batches, one-shot batches whose first rows
-# sit at every offset mod 4 of the four-draw Philox block, uneven sizes, and
-# batches of several chunks
+# (shots, batches): fewer shots than batches, one-shot batches, uneven sizes,
+# and batches of several chunks
 SHOT_LAYOUTS = [(3, 5), (9, 9), (1001, 7), (20003, 10), (30001, 2)]
 
 
-def test_shot_layouts_start_batches_at_every_offset_in_a_philox_block():
-    # every offset a first row can have: all four with an odd source count
+def test_shot_layouts_cover_uneven_one_shot_and_multi_chunk_batches():
+    layouts = [batch_sizes(*layout) for layout in SHOT_LAYOUTS]
+    assert any(len(set(sizes)) > 1 for sizes in layouts)
+    assert any(np.all(sizes == 1) for sizes in layouts)
     for setup in bit_identity_setups().values():
-        offsets = set()
-        for shots, batches in SHOT_LAYOUTS:
-            sizes = batch_sizes(shots, batches)
-            offsets |= {int(start) * setup.n_sources % 4 for start in np.cumsum(sizes) - sizes}
-        assert offsets == set(range(0, 4, math.gcd(setup.n_sources, 4)))
-    assert any(len(set(batch_sizes(*layout))) > 1 for layout in SHOT_LAYOUTS)
+        chunk = engine._chunk_shots(setup.n_sources, len(engine._propagator(setup)), setup.n_detectors)
+        assert any(sizes[0] > chunk for sizes in layouts)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -708,7 +732,7 @@ def test_threaded_mc_is_bit_identical_to_the_serial_loop(monkeypatch, name, work
 def test_seeked_streams_give_the_rows_of_one_full_draw(n_sources):
     rows = 9
     for stream in np.random.SeedSequence(7).spawn(2):
-        full = np.random.Generator(np.random.Philox(stream))
+        full = np.random.Generator(np.random.PCG64(stream))
         phases = full.random(size=(rows, n_sources))
         picks = full.random(size=(rows, n_sources))
         for start in range(rows):
@@ -718,6 +742,16 @@ def test_seeked_streams_give_the_rows_of_one_full_draw(n_sources):
             seeked = engine._generator_at(stream, (rows + start) * n_sources)
             tail = seeked.random(size=(rows - start, n_sources))
             assert tail.tobytes() == picks[start:].tobytes()
+
+
+def test_seeks_far_into_a_stream_match_advancing_in_steps():
+    # one 64-bit output per double, so a seek is exact at any offset
+    stream = np.random.SeedSequence(7).spawn(2)[1]
+    for k in range(5):
+        stepped = np.random.PCG64(stream).advance(2**40).advance(k)
+        seeked = engine._generator_at(stream, 2**40 + k)
+        assert seeked.bit_generator.state == stepped.state
+        assert seeked.random(4).tobytes() == np.random.Generator(stepped).random(4).tobytes()
 
 
 def test_worker_count_is_one_for_small_batches_and_never_above_the_batches():

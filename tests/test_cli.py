@@ -85,6 +85,24 @@ def test_classical_mc_deterministic_and_seed_override(tmp_path):
     assert rep_c["results"]["correlations"]["gbar"] != rep_a["results"]["correlations"]["gbar"]
 
 
+@pytest.mark.parametrize(
+    "payload,extra",
+    [
+        ({"mode": "classical-mc", "shots": 1000, "seed": -1}, []),
+        ({"mode": "classical-mc", "shots": 1000, "seed": 3}, ["--seed", "-3"]),
+        ({"mode": "optimize", "n_sources": 2, "n_detectors": 2, "restarts": 2}, ["--seed", "-3"]),
+        ({"mode": "classical-analytic", "interferometer": {"random": {"dim": 2, "seed": -1}}}, []),
+    ],
+)
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, payload, extra):
+    # exit 2 as before, when numpy's ValueError gave it; now before any engine runs
+    sources = [{"kind": "fixed", "amplitude": 1.0}, {"kind": "fixed", "amplitude": 1.0}]
+    payload = {"interferometer": {"ftm": 2}, "sources": sources, **payload}
+    code, report, _ = run_cli(tmp_path, payload, extra=extra)
+    assert code == EXIT_CONFIG and report is None
+    assert "config error: seed must be non-negative" in capsys.readouterr().err
+
+
 def test_classical_analytic_with_matrix_file(tmp_path):
     matrix_path = tmp_path / "transfer.txt"
     save_matrix(ftm(3).matrix[:, :2], matrix_path)

@@ -5,6 +5,7 @@ from multiport import (
     DegenerateSetupError,
     InsufficientSamplesError,
     MatrixValidationError,
+    PreconditionError,
     ShotRecord,
     correlation_report_from_records,
     estimate_gbar_from_records,
@@ -180,6 +181,14 @@ def test_one_batch_has_no_stderr():
     records = records_from_matrix(synthesize_hom_shots(500, seed=2))
     with pytest.raises(InsufficientSamplesError):
         correlation_report_from_records(records, batches=1)
+
+
+@pytest.mark.parametrize("batches", [2.5, np.float64(4.0), True])
+def test_a_batch_count_that_is_not_an_integer_is_refused(batches):
+    # 2.5 and 4.0 raised a bare TypeError, True an InsufficientSamplesError
+    records = records_from_matrix(synthesize_hom_shots(500, seed=2))
+    with pytest.raises(PreconditionError, match="batches"):
+        correlation_report_from_records(records, batches=batches)
 
 
 @pytest.mark.parametrize("scale", [1e-165, 1e160])

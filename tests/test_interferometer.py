@@ -6,6 +6,7 @@ import pytest
 from multiport import (
     DimensionError,
     MatrixValidationError,
+    PreconditionError,
     UnitaryMatrix,
     direct_sum,
     ftm,
@@ -83,6 +84,18 @@ def test_random_unitary_deterministic():
 
 def test_random_unitary_changes_with_seed():
     assert not np.array_equal(random_unitary(3, 42).matrix, random_unitary(3, 43).matrix)
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 1.5, np.float64(2.0), "1"])
+def test_random_unitary_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # None drew fresh OS entropy and True was taken as 1; -1 and 1.5 raised
+    # numpy's own ValueError and TypeError
+    with pytest.raises(PreconditionError, match="seed"):
+        random_unitary(3, seed)
+
+
+def test_random_unitary_takes_numpy_integer_seeds():
+    assert np.array_equal(random_unitary(3, np.int64(42)).matrix, random_unitary(3, 42).matrix)
 
 
 def test_random_unitary_invariants_many_seeds():

@@ -24,6 +24,7 @@ import multiport.optimizer as optimizer
 from multiport import (
     DimensionError,
     MatrixValidationError,
+    PreconditionError,
     PsiConfiguration,
     check_frame_inequalities,
     classical_min,
@@ -172,6 +173,14 @@ def test_minimize_validation():
         multistart_minimize(2, 3, restarts=2, seed=0, max_iters=-1)
     with pytest.raises(DimensionError, match="max_iters"):
         minimize_classical_gbar(2, 3, restarts=1, seed=0, max_iters=-1)
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 1.5])
+def test_minimize_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(PreconditionError, match="seed"):
+        multistart_minimize(2, 3, restarts=2, seed=seed)
+    with pytest.raises(PreconditionError, match="seed"):
+        minimize_classical_gbar(2, 3, restarts=1, seed=seed)
 
 
 # ----------------------------------------------------------- reference descent

@@ -1,7 +1,7 @@
-"""Monte Carlo layer benchmark: time ``mc_estimate_gbar`` on fixed setups and
-write ``BENCH_16.json``.
+"""Monte Carlo layer benchmark: time ``mc_estimate_gbar`` and its stages on
+fixed setups and write a JSON record.
 
-    python tools/mc_layers.py --seconds 60 --baseline ../parent-checkout
+    python tools/mc_layers.py --seconds 120 --baseline ../parent-checkout --out BENCH_<n>.json
 
 Each source tree (this checkout's ``src/``, and the ``--baseline`` checkout's
 if given) runs in its own worker process, which imports ``multiport`` from
@@ -18,15 +18,22 @@ seeds:
   Haar-random 32-mode interferometer with rank-3 mode overlaps, 10^5 shots.
 
 All use 100 batches. The workers run with one BLAS thread unless
-``--default-blas-threads`` is given. The JSON records, per tree and setup,
-the median and quartiles of the wall time and the shots per second at the
-median, the worker's peak RSS, the tree's commit (and whether its files
-differ from it), numpy, BLAS and the CPU count.
+``--default-blas-threads`` is given. After the whole estimates, a round
+runs each setup once more on one sampler thread with the engine's stages
+wrapped in timers, so the stages see the estimate's own chunk layout:
+``draws`` (both streams), ``phasors``, ``picks``, ``propagation`` and
+``sums``; ``other`` is the rest of that estimate (folding the picks in,
+the loop, the report). The JSON records, per tree and setup, the median
+and quartiles of the wall time, the shots per second at the median, and the
+median and quartiles of each stage in ns per shot; per tree, the worker's
+peak RSS, the tree's commit (and whether its files differ from it); and
+numpy, BLAS and the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -63,25 +70,67 @@ def build_setups(mp, np):
     return {"cross-check-fixed": (fixed, 11), "cross-check-pseudo-thermal": (thermal, 12), "overlap-32-rank3": (overlap, 13)}
 
 
+STAGES = ("draws", "phasors", "picks", "propagation", "sums")
+# the engine's module names that a stage-timed estimate replaces
+STAGE_NAMES = {"phasors": "_phasors", "picks": "_pick_amplitudes", "propagation": "_intensities", "sums": "batch_sums"}
+
+
+@contextlib.contextmanager
+def timed_stages(engine, seconds: dict):
+    """Run the engine's estimates on one thread, with its stages wrapped in
+    timers that add to ``seconds``; the draws are timed per generator call."""
+    def timed(stage, fn):
+        def run(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[stage] += time.perf_counter() - start
+        return run
+
+    class Stream:
+        def __init__(self, generator):
+            self.random = timed("draws", generator.random)
+
+    saved = {name: getattr(engine, name) for name in ("_generator_at", "_worker_count", *STAGE_NAMES.values())}
+    engine._generator_at = lambda stream, draws: Stream(saved["_generator_at"](stream, draws))
+    engine._worker_count = lambda batches, draws: 1
+    for stage, name in STAGE_NAMES.items():
+        setattr(engine, name, timed(stage, saved[name]))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(engine, name, value)
+
+
 def worker(src: str) -> None:
-    """Time one round of every setup per line read from stdin; print the
-    peak RSS at end of input."""
+    """Time one round of every setup, then of its stages, per line read from
+    stdin; print the peak RSS at end of input."""
     sys.path.insert(0, src)
     import numpy as np
 
     import multiport as mp
+    import multiport.classical_engine as engine
 
     setups = build_setups(mp, np)
     for name, (setup, seed) in setups.items():  # warm-up
         mp.mc_estimate_gbar(setup, SHOTS[name] // 10, seed, BATCHES)
     print(json.dumps({"ready": True}), flush=True)
     for _ in sys.stdin:
-        times = {}
+        times, stages = {}, {}
         for name, (setup, seed) in setups.items():
             start = time.perf_counter()
             mp.mc_estimate_gbar(setup, SHOTS[name], seed, BATCHES)
             times[name] = time.perf_counter() - start
-        print(json.dumps(times), flush=True)
+        for name, (setup, seed) in setups.items():
+            seconds = dict.fromkeys(STAGES, 0.0)
+            with timed_stages(engine, seconds):
+                start = time.perf_counter()
+                mp.mc_estimate_gbar(setup, SHOTS[name], seed, BATCHES)
+                seconds["other"] = time.perf_counter() - start - sum(seconds.values())
+            stages[name] = seconds
+        print(json.dumps({"times": times, "stages": stages}), flush=True)
     import resource
 
     print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}), flush=True)
@@ -95,14 +144,23 @@ def describe(tree: Path) -> dict:
     return {"commit": git("rev-parse", "HEAD") or None, "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-def summary(times: list[float], shots: int) -> dict:
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive") if len(times) > 1 else times * 3
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    return tuple(statistics.quantiles(values, n=4, method="inclusive")) if len(values) > 1 else tuple(values * 3)
+
+
+def summary(times: list[float], stages: list[dict], shots: int) -> dict:
+    q1, median, q3 = quartiles(times)
+    per_shot = {
+        stage: dict(zip(("q1", "median", "q3"), quartiles([s[stage] * 1e9 / shots for s in stages])))
+        for stage in (*STAGES, "other")
+    }
     return {
         "rounds": len(times),
         "median_ms": median * 1e3,
         "q1_ms": q1 * 1e3,
         "q3_ms": q3 * 1e3,
         "shots_per_s": shots / median,
+        "stages_ns_per_shot": per_shot,
     }
 
 
@@ -111,12 +169,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--baseline", type=Path, help="another checkout to time in alternation")
     parser.add_argument("--default-blas-threads", action="store_true")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_16.json")
+    parser.add_argument("--out", type=Path, help="the JSON record to write (required)")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
         worker(args.worker)
         return 0
+    if args.out is None:  # no default: a plain run must not overwrite a committed record
+        parser.error("--out is required")
 
     import numpy as np
 
@@ -136,13 +196,16 @@ def main(argv=None) -> int:
     for proc in workers.values():
         json.loads(proc.stdout.readline())
     times = {label: {name: [] for name in SETUPS} for label in trees}
+    stages = {label: {name: [] for name in SETUPS} for label in trees}
     start, order = time.perf_counter(), list(workers)
     while time.perf_counter() - start < args.seconds:
         for label in order:
             workers[label].stdin.write("round\n")
             workers[label].stdin.flush()
-            for name, seconds in json.loads(workers[label].stdout.readline()).items():
-                times[label][name].append(seconds)
+            done = json.loads(workers[label].stdout.readline())
+            for name in SETUPS:
+                times[label][name].append(done["times"][name])
+                stages[label][name].append(done["stages"][name])
         order.reverse()  # each tree goes first in every other pair of rounds
     results = {}
     for label, proc in workers.items():
@@ -152,7 +215,7 @@ def main(argv=None) -> int:
         results[label] = {
             **describe(trees[label]),
             "peak_rss_mb": rss,
-            "setups": {name: summary(times[label][name], SHOTS[name]) for name in SETUPS},
+            "setups": {name: summary(times[label][name], stages[label][name], SHOTS[name]) for name in SETUPS},
         }
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
@@ -170,6 +233,8 @@ def main(argv=None) -> int:
         for name, stats in result["setups"].items():
             print(f"{label:9s} {name:28s} median {stats['median_ms']:8.1f} ms "
                   f"(q1 {stats['q1_ms']:.1f}, q3 {stats['q3_ms']:.1f}, {stats['rounds']} rounds)")
+            print(f"{'':9s} {'ns per shot, one thread:':28s} " + ", ".join(
+                f"{stage} {q['median']:.1f}" for stage, q in stats["stages_ns_per_shot"].items()))
         print(f"{label:9s} peak RSS {result['peak_rss_mb']:.1f} MB")
     return 0
 
