@@ -127,26 +127,24 @@ def classical_gbar(setup) -> CorrelationReport:
     )
 
 
-# Phasors come from a table of 2^12 turns plus a short series in the residual
-# angle (Tang, ARITH 10, 1991): |theta| <= pi / 2^12, so the first dropped
-# terms, theta^5/120 and theta^6/720, are below 3e-18. The constants are numpy
-# scalars: with a Python float, a ufunc call on a few hundred draws took twice
-# as long.
-_TURNS = np.float64(2**12)
-_STEP = 2.0 * np.pi / _TURNS
-_SIN_SERIES = (_STEP, -(_STEP**3) / 6.0)
-_COS_SERIES = (-(_STEP**2) / 2.0, _STEP**4 / 24.0)
+# A phase is the turn k / 2^24 below a draw u, k = floor(2^24 u), and its
+# phasor _COARSE[k >> 12] * _FINE[k & 4095] (Tang, ARITH 10, 1991). Phases
+# uniform on the 2^24-th roots of unity have the moments of continuous ones
+# below order 2^24, as sums of roots of unity vanish; the estimator's means
+# and variances are of order at most four in each phasor.
+_GRID = np.float64(2**24)
+_FINE_BITS = 12
 
 
-def _turn_table() -> np.ndarray:
-    """exp(2 pi i k / _TURNS) for k = 0.._TURNS: the first quadrant from
-    numpy, the others by exact quarter-turn rotations."""
-    angle = _STEP * np.arange(int(_TURNS) // 4)
-    quadrant = np.cos(angle) + 1j * np.sin(angle)
-    return np.concatenate([quadrant, 1j * quadrant, -quadrant, -1j * quadrant, [1.0]])
+def _turn_tables() -> tuple[np.ndarray, np.ndarray]:
+    """exp(2 pi i j / 2^12) and exp(2 pi i j / 2^24) for j < 2^12: the
+    coarse turns' first quadrant from numpy, the rest by exact rotations."""
+    quadrant = np.exp(2j * np.pi / 2**_FINE_BITS * np.arange(2**_FINE_BITS // 4))
+    fine = np.exp(2j * np.pi / _GRID * np.arange(2**_FINE_BITS))
+    return np.concatenate([quadrant, 1j * quadrant, -quadrant, -1j * quadrant]), fine
 
 
-_TURN_TABLE = _turn_table()
+_COARSE, _FINE = _turn_tables()
 
 # Draws per stream in one chunk. A thread's workspace holds seven chunks of
 # draws, whatever the shots; smaller chunks pay more per numpy call.
@@ -155,38 +153,23 @@ _CHUNK_DRAWS = 2**15
 
 def _chunk_shots(n: int, rows: int, m: int) -> int:
     """Shots per chunk: at most _CHUNK_DRAWS draws of each stream for ``n``
-    sources, and the ``rows`` propagated amplitudes and ``m`` intensities of
-    the shots in at most four chunks of draws."""
-    return max(1, min(_CHUNK_DRAWS // n, 4 * _CHUNK_DRAWS // (rows + m)))
+    sources, and the ``rows`` complex propagated amplitudes and ``m``
+    intensities of the shots in at most four chunks of draws."""
+    return max(1, min(_CHUNK_DRAWS // n, 4 * _CHUNK_DRAWS // (2 * rows + m)))
 
 
-def _phasors(u: np.ndarray, x: np.ndarray, f: np.ndarray, w: np.ndarray):
-    """Write cos 2 pi u and sin 2 pi u to ``x[..., 0]`` and ``x[..., 1]``.
-
-    ``u`` (consumed), ``f`` and the complex scratch ``w`` share one shape.
-    The nearest table turn k gives z = exp(i a), and the residual r = 2^12 u
-    - k (exact, |r| <= 1/2) the series w = (cos theta - 1) + i sin theta of
-    theta = r * _STEP; then exp(i (a + theta)) = z + z w. The series runs in
-    the halves of ``x`` before z goes there: contiguous, unlike ``w``'s parts.
-    """
-    u *= _TURNS
-    np.rint(u, out=f)
-    u -= f
-    r2, t = x.reshape(2, *u.shape)
-    np.multiply(u, u, out=r2)
-    (s1, s3), (c2, c4) = _SIN_SERIES, _COS_SERIES
-    np.multiply(r2, s3, out=t)
-    t += s1
-    np.multiply(t, u, out=w.imag)
-    np.multiply(r2, c4, out=u)
-    u += c2
-    np.multiply(u, r2, out=w.real)
-    index = u.view(np.int64)  # the turns k, exactly: f holds integers
-    np.copyto(index, f, casting="unsafe")
-    z = x.view(complex).reshape(u.shape)
-    _TURN_TABLE.take(index, out=z, mode="clip")
-    w *= z
-    z += w
+def _phasors(u: np.ndarray, index: np.ndarray, fine: np.ndarray, z: np.ndarray) -> None:
+    """Write the table phasors of the draws ``u`` (shots x n, consumed) to
+    the rows ``z`` (n x shots), with int64 and complex scratch ``index`` and
+    ``fine`` of ``z``'s shape. The turns are cast from ``u`` transposed, so
+    every later pass is contiguous; ``u``'s memory takes their coarse part."""
+    u *= _GRID
+    np.copyto(index, u.T, casting="unsafe")  # truncation is floor: u >= 0
+    coarse = u.view(np.int64).reshape(index.shape)
+    np.right_shift(index, _FINE_BITS, out=coarse)
+    index &= 2**_FINE_BITS - 1
+    _COARSE.take(coarse, out=z, mode="clip")
+    z *= _FINE.take(index, out=fine, mode="clip")
 
 
 def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,69 +212,68 @@ def _alias_picks(sources: tuple[ClassicalSource, ...]):
     return np.float64(cells), np.repeat(np.concatenate(q), 2), np.concatenate(amplitudes).ravel()
 
 
-def _pick_amplitudes(v, picks, offsets, f, out, index) -> np.ndarray:
-    """The amplitudes that the pick draws ``v`` (consumed) choose from the
-    alias tables ``picks`` of :func:`_alias_picks`, into ``out``.
+def _pick_amplitudes(v, picks, offsets, t, out, index) -> np.ndarray:
+    """The amplitudes that the pick draws ``v`` (shots x N, consumed) choose
+    from the alias tables ``picks`` of :func:`_alias_picks`, into ``out``
+    (N x shots).
 
-    ``offsets`` holds 2 a cells in source a's column; ``f`` is scratch of
-    ``v``'s shape, which then holds the boolean flags, and ``index`` an
-    int64 array of that shape.
+    ``offsets`` is the column of 2 a cells for source a; ``t`` is scratch of
+    ``out``'s shape and ``index`` int64 scratch of that shape. The draws are
+    transposed once, into ``t``; ``v``'s memory then holds the cells and the
+    boolean flags.
     """
     cells, q, amplitudes = picks
-    v *= cells  # below cells even for v = 1 - 2^-53: the product rounds down
-    np.floor(v, out=f)
-    v -= f
+    np.multiply(v.T, cells, out=t)  # below cells even for v = 1 - 2^-53: the product rounds down
+    f = v.reshape(t.shape)
+    np.floor(t, out=f)
+    t -= f
     f += f
     f += offsets
     np.copyto(index, f, casting="unsafe")
     q.take(index, out=out, mode="clip")
-    index += np.greater_equal(v, out, out=f.reshape(-1).view(bool)[: v.size].reshape(v.shape))
+    index += np.greater_equal(t, out, out=f.reshape(-1).view(bool)[: t.size].reshape(t.shape))
     return amplitudes.take(index, out=out, mode="clip")
 
 
-def _propagator(setup: ClassicalSetup) -> np.ndarray:
-    """The real (2 M K x 2 N) matrix that takes a shot's fields, as
-    (re, im) per source, to the real and then the imaginary parts of its
-    ``M K`` detected amplitudes, internal mode k major and detector i minor.
-
-    The detection rows are W[(k, i), a] = T_ia v_ak for the sources' unit
-    mode vectors v, or the transfer matrix itself (K = 1) without overlaps.
-    The amplitude of every one-level source is folded into its column.
+def _detection_rows(setup: ClassicalSetup) -> np.ndarray:
+    """The complex (M K x N) matrix W[(k, i), a] = T_ia v_ak that takes a
+    shot's fields to its ``M K`` detected amplitudes, internal mode k major
+    and detector i minor, for the sources' unit mode vectors v, or the
+    transfer matrix itself (K = 1) without overlaps. The amplitude of every
+    one-level source is folded into its column.
     """
     rows = setup.transfer[None]
     if setup.overlap is not None:
         rows = rows * setup.overlap.mode_vectors().T[:, None, :]
-    rows = rows.reshape(-1, setup.n_sources) * [
+    return rows.reshape(-1, setup.n_sources) * [
         src.amplitudes[0] if src.amplitudes.size == 1 else 1.0 for src in setup.sources
     ]
-    g = np.empty((2, rows.shape[0], setup.n_sources, 2))
-    g[0, ..., 0], g[0, ..., 1] = rows.real, -rows.imag
-    g[1, ..., 0], g[1, ..., 1] = rows.imag, rows.real
-    return g.reshape(2 * rows.shape[0], -1)
 
 
-def _intensities(x: np.ndarray, g: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Detector intensities (M x shots) of the fields ``x`` (shots x N x 2),
-    at unit energy scale, into ``out``: the squares of the amplitudes ``g x``
-    (into ``y``) summed over real and imaginary parts and internal modes."""
-    np.matmul(g, x.reshape(len(x), -1).T, out=y)
+def _detected_intensities(z: np.ndarray, rows: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Detector intensities (M x shots) of the fields ``z`` (N x shots), at
+    unit energy scale, into ``out``: the squared moduli of the amplitudes
+    ``rows @ z`` (into the complex ``y``), summed over internal modes. The
+    squares and the sum over modes run on ``y``'s real view, contiguous;
+    one pass then adds each real square to its imaginary one."""
+    np.matmul(rows, z, out=y)
+    y = y.view(float)
     y *= y
     m = len(out)
-    np.add(y[:m], y[m : 2 * m], out=out)
-    for k in range(2 * m, len(y), m):
-        out += y[k : k + m]
-    return out
+    for k in range(m, len(y), m):
+        y[:m] += y[k : k + m]
+    return np.add(y[:m, 0::2], y[:m, 1::2], out=out)
 
 
-def _workspace(chunk: int, n: int, rows: int, m: int, picks):
+def _workspace(chunk: int, n: int, rows: int, m: int):
     """Views for one thread's chunks of up to ``chunk`` shots, by chunk size,
-    into one array of seven regions of draws: the fields x (shots x n x 2)
-    in the first two, which hold the phasor series before the fields; (shots
-    x n) scratch u and f in the next two; in the two after, the complex
-    scratch w of the phasors, which the picks then reuse for the amplitudes
-    and int64 cell indices; and the alias cell offsets (2 a cells in column a)
-    in the last. Propagation puts its ``rows`` amplitudes and ``m``
-    intensities over the four scratch regions.
+    into one array of seven regions of draws. The complex fields z (n x
+    shots) take the first two and the ones of the intensity sums the last.
+    The four between are scratch: of the phases' draws (then coarse turns),
+    turns and fine phasors; of the picks' draws (then cells and flags),
+    transposed draws, int64 cells and amplitudes; and of propagation's
+    ``rows`` complex amplitudes, then ``m`` intensities, and the
+    intensities' copy for their Gram, which reuses the amplitudes' memory.
 
     Each region takes _CHUNK_DRAWS draws however few a chunk needs, so every
     estimate allocates the same size, and the next estimate reuses the block
@@ -303,23 +285,26 @@ def _workspace(chunk: int, n: int, rows: int, m: int, picks):
     smaller chunk uses the start of each region, whose later pages stay
     untouched.
     """
-    region = max(_CHUNK_DRAWS, chunk * n)
-    work = np.empty(3 * region + max(4 * region, (rows + m) * chunk))
-    offsets = work[len(work) - region :][: chunk * n].reshape(chunk, n)
-    if picks:
-        offsets[:] = 2 * picks[0] * np.arange(n)
+    r = max(_CHUNK_DRAWS, chunk * n)
+    work = np.empty(3 * r + max(4 * r, (2 * rows + m) * chunk))
+    ones = work[len(work) - r :][:chunk]
+    ones[:] = 1.0
     cache = {}
+
+    def at(start: int, shape: tuple, dtype=float) -> np.ndarray:
+        size = shape[0] * shape[1] * np.dtype(dtype).itemsize // 8
+        return work[start : start + size].view(dtype).reshape(shape)
 
     def views(shots: int) -> tuple:
         if shots not in cache:
-            d = shots * n
-            u, f, amps, index = (work[k * region : k * region + d] for k in range(2, 6))
-            w = work[4 * region : 4 * region + 2 * d].view(complex)
-            y = work[2 * region : 2 * region + rows * shots].reshape(rows, shots)
-            out = work[2 * region + rows * shots : 2 * region + (rows + m) * shots].reshape(m, shots)
-            cache[shots] = tuple(
-                a.reshape(shots, n) for a in (u, f, w, amps, index.view(np.int64))
-            ) + (work[: 2 * d].reshape(shots, n, 2), y, out, offsets[:shots])
+            fields, phased = (n, shots), (n - 1, shots)  # the draws are shot-major
+            cache[shots] = (
+                at(0, fields, complex),
+                (at(2 * r, phased[::-1]), at(3 * r, phased, np.int64), at(4 * r, phased, complex)),
+                (at(2 * r, fields[::-1]), at(3 * r, fields), at(5 * r, fields), at(4 * r, fields, np.int64)),
+                (at(2 * r, (rows, shots), complex), at(2 * r + 2 * rows * shots, (m, shots))),
+                (ones[:shots], at(2 * r, (m, shots)).T),
+            )
         return cache[shots]
 
     return views
@@ -341,42 +326,51 @@ def mc_estimate_gbar(
     point estimate is the ratio of full-sample means; the standard error
     comes from the spread of the same statistic over equal shot batches.
 
-    Shot s of source a takes draw s N + a of two PCG64 streams: u of the
-    phase stream is the phase 2 pi u, and v of the pick stream picks a level
-    from the source's alias table (drawn only when some source has more than
-    one level), by which the phasor is then multiplied. A batch is summed in
-    chunks of :func:`_chunk_shots` shots, in order, and each thread reuses
-    one workspace for all its chunks, so memory does not grow with
-    ``shots``. The batches are cut into one contiguous range per thread, up
-    to one thread per available CPU for large batches; each range seeks its
-    first rows of the two streams once, so results are reproducible bit for
-    bit for a fixed (seed, shots, batches) on any number of CPUs. The seed
-    and the counts must be integers (Python or numpy, not bool), the seed
-    non-negative, else ``PreconditionError``; fewer than two shots or
-    batches raise ``InsufficientSamplesError``.
+    The intensities depend only on the phases relative to one source, so
+    source 0 keeps phase 0 and source a >= 1 of shot s takes draw
+    s (N - 1) + a - 1 of a PCG64 phase stream, as its turn on the 2^24-point
+    grid (:func:`_phasors`). Draw s N + a of a pick stream, drawn only when
+    some source has several levels, picks source a's amplitude from its alias
+    table; row 0 of the fields is thus source 0's amplitude, or 1 where it is
+    folded into the detection rows. A chunk's fields are the N rows of a
+    complex view of the thread's workspace, and one complex GEMM takes them
+    to the detected amplitudes: 17 numpy calls for fixed sources, 29 with
+    picks, all contiguous but the draws' transposing passes and the last add.
+
+    A batch is summed in chunks of :func:`_chunk_shots` shots, in order, and
+    each thread reuses one workspace for all its chunks, so memory does not
+    grow with ``shots``. The batches are cut into one contiguous range per
+    thread, up to one thread per available CPU for large batches; each range
+    seeks its first rows of the two streams once, so results are
+    reproducible bit for bit for a fixed (seed, shots, batches) on any
+    number of CPUs. The seed and the counts must be integers (Python or
+    numpy, not bool), the seed non-negative, else ``PreconditionError``;
+    fewer than two shots or batches raise ``InsufficientSamplesError``.
     """
     n = setup.n_sources
-    g = _propagator(setup)
+    rows = _detection_rows(setup)
     picks = _alias_picks(setup.sources)
+    offsets = 2 * picks[0] * np.arange(n)[:, None] if picks else None
     streams = np.random.SeedSequence(check_seed(seed)).spawn(2)  # phases, picks
     sizes = batch_sizes(shots, batches).tolist()
     starts = np.cumsum(sizes) - sizes
-    chunk = min(_chunk_shots(n, len(g), setup.n_detectors), sizes[0])
+    chunk = min(_chunk_shots(n, len(rows), setup.n_detectors), sizes[0])
 
     def run(first: int, stop: int):  # the sums of batches first..stop-1
-        phase_rng, pick_rng = (_generator_at(s, int(starts[first]) * n) for s in streams)
-        views = _workspace(chunk, n, len(g), setup.n_detectors, picks)
+        phase_rng = _generator_at(streams[0], int(starts[first]) * (n - 1))
+        pick_rng = _generator_at(streams[1], int(starts[first]) * n)
+        views = _workspace(chunk, n, len(rows), setup.n_detectors)
         # an overflowing intensity is refused by the report (the setting is per thread)
         with np.errstate(over="ignore", invalid="ignore"):
             for size in sizes[first:stop]:
                 total = None
                 for begin in range(0, size, chunk):
-                    u, f, w, amps, index, x, y, out, offsets = views(min(chunk, size - begin))
-                    _phasors(phase_rng.random(out=u), x, f, w)
-                    if picks:  # one complex product scales both parts of the phasor
-                        amps = _pick_amplitudes(pick_rng.random(out=u), picks, offsets, f, amps, index)
-                        x.view(complex)[..., 0] *= amps
-                    sums = batch_sums(_intensities(x, g, y, out).T)
+                    z, phasing, picking, detecting, summing = views(min(chunk, size - begin))
+                    z[0] = 1.0
+                    _phasors(phase_rng.random(out=phasing[0]), *phasing[1:], z[1:])
+                    if picks:
+                        z *= _pick_amplitudes(pick_rng.random(out=picking[0]), picks, offsets, *picking[1:])
+                    sums = batch_sums(_detected_intensities(z, rows, *detecting).T, *summing)
                     total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
                 yield total
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MatrixValidationError, check_seed
+from .errors import DimensionError, MatrixValidationError, check_integer, check_seed
 
 # Max-norm tolerance on U^dag U - 1: tight enough to catch construction bugs,
 # loose enough for accumulated floating-point error up to m = 64.
@@ -94,11 +94,13 @@ def direct_sum(u1: UnitaryMatrix, u2: UnitaryMatrix) -> UnitaryMatrix:
 
 def random_unitary(m: int, seed: int) -> UnitaryMatrix:
     """Haar-distributed random unitary, deterministic for a fixed seed (a
-    non-negative integer, else ``PreconditionError``).
+    non-negative integer, else ``PreconditionError``; so is a dimension ``m``
+    that is not an integer).
 
     QR of a complex Ginibre matrix with the R diagonal's phases absorbed
     into Q (Mezzadri's construction).
     """
+    m = check_integer(m, "m")
     if m < 1:
         raise DimensionError("random unitary needs m >= 1")
     rng = np.random.default_rng(check_seed(seed))

@@ -21,7 +21,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import DimensionError, MatrixValidationError, check_seed
+from .errors import DimensionError, MatrixValidationError, check_integer, check_seed
 
 NORM_TOL = 1e-10
 _INEQUALITY_TOL = 1e-10
@@ -262,8 +262,11 @@ def multistart_minimize(
     descend together in blocks of ``RESTART_BLOCK``. The restart with the
     lowest final value wins, ties broken by the lower index. ``trace``
     receives one ``restart<TAB>iteration<TAB>value`` line per accepted step,
-    restart-major.
+    restart-major. The counts must be integers (Python or numpy, not bool),
+    else ``PreconditionError``.
     """
+    n_sources, n_detectors = check_integer(n_sources, "n_sources"), check_integer(n_detectors, "n_detectors")
+    restarts, max_iters = check_integer(restarts, "restarts"), check_integer(max_iters, "max_iters")
     if n_detectors < 2:
         raise DimensionError("need at least 2 detectors")
     if n_sources < 1 or restarts < 1:

@@ -176,12 +176,18 @@ def batch_stderr(values: Sequence[float]) -> float:
     return float(np.sqrt(arr.var(ddof=1) / arr.size))
 
 
-def batch_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def batch_sums(block: np.ndarray, ones=None, scratch=None) -> tuple[np.ndarray, np.ndarray, int]:
     """The sums of intensities and of intensity products of one batch's
     (shots x M) detector intensities, and its shot count, as BLAS products:
     on 10^4 x 3, ``block.sum(axis=0)`` took 25x as long as the product with
-    ones, and ``block.T @ block``, which numpy sends to syrk, 3x the GEMM."""
-    return np.ones(len(block)) @ block, block.T @ block.copy(order="K"), len(block)
+    ones, and ``block.T @ block``, which numpy sends to syrk, 3x the GEMM
+    with a copy of the block. A caller with a workspace passes the ``ones``
+    (shots) and the ``scratch`` for the copy (of the block's shape and
+    strides); else both are allocated."""
+    if ones is None:
+        ones, scratch = np.ones(len(block)), np.empty_like(block)
+    np.copyto(scratch, block)
+    return ones @ block, block.T @ scratch, len(block)
 
 
 def report_from_batches(

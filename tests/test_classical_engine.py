@@ -354,6 +354,21 @@ def per_mode_intensities(setup, fields):
     return (np.abs(per_mode) ** 2).sum(axis=2)
 
 
+def record_fields(monkeypatch):
+    """Run estimates on one thread and record each chunk's fields (shots x
+    N) and intensities (shots x M) as the propagation sees them."""
+    propagate, seen = engine._detected_intensities, []
+
+    def recording(z, rows, y, out):
+        intensities = propagate(z, rows, y, out)
+        seen.append((z.T.copy(), intensities.T.copy()))
+        return intensities
+
+    monkeypatch.setattr(engine, "_detected_intensities", recording)
+    monkeypatch.setattr(engine, "_worker_count", lambda batches, draws: 1)
+    return seen
+
+
 def random_overlap(rng, n, rank):
     vectors = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -368,19 +383,11 @@ def test_internal_mode_rows_match_the_per_mode_vector_sum(monkeypatch, shape, fu
     overlap = random_overlap(rng, shape[1], shape[1] if full_rank else 2)
     sources = tuple(pseudo_thermal_source(0.5 + 0.1 * a) for a in range(shape[1]))
     setup = ClassicalSetup(transfer, sources, overlap=overlap)
-    propagate, seen = engine._intensities, []
-
-    def recording(x, g, y, out):
-        intensities = propagate(x, g, y, out)
-        seen.append((x[..., 0] + 1j * x[..., 1], intensities.T.copy()))
-        return intensities
-
-    monkeypatch.setattr(engine, "_intensities", recording)
-    monkeypatch.setattr(engine, "_worker_count", lambda batches, draws: 1)
+    seen = record_fields(monkeypatch)
     # batches of 1, 3 and 10^4 shots; the last spans several chunks at 16 sources
     for shots, batches in [(3, 3), (9, 3), (20000, 2)]:
         mc_estimate_gbar(setup, shots, 5, batches)
-    chunk = engine._chunk_shots(shape[1], len(engine._propagator(setup)), shape[0])
+    chunk = engine._chunk_shots(shape[1], len(engine._detection_rows(setup)), shape[0])
     lengths = [len(fields) for fields, _ in seen]
     assert lengths[:6] == [1, 1, 1, 3, 3, 3]
     assert lengths[6:] == 2 * ([chunk] * (10000 // chunk) + [10000 % chunk] * (10000 % chunk > 0))
@@ -394,20 +401,20 @@ def test_a_rank_two_overlap_propagates_two_internal_modes(monkeypatch):
     transfer = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
     sources = tuple(pseudo_thermal_source(0.5 + 0.1 * a) for a in range(6))
     setup = ClassicalSetup(transfer, sources, overlap=random_overlap(rng, 6, 2))
-    propagate, shapes = engine._intensities, set()
+    propagate, shapes = engine._detected_intensities, set()
 
-    def recording(x, g, y, out):
-        shapes.add(g.shape)  # real and imaginary parts of each row, of each field
-        return propagate(x, g, y, out)
+    def recording(z, rows, y, out):
+        shapes.add(rows.shape)  # a complex row per internal mode and detector
+        return propagate(z, rows, y, out)
 
-    monkeypatch.setattr(engine, "_intensities", recording)
+    monkeypatch.setattr(engine, "_detected_intensities", recording)
     report = mc_estimate_gbar(setup, 20000, 3)
-    assert shapes == {(2 * 2 * 4, 2 * 6)}
+    assert shapes == {(2 * 4, 6)}
     vals, vecs = np.linalg.eigh(setup.overlap.matrix)
     every = vecs * np.sqrt(np.clip(vals, 0.0, None))
     monkeypatch.setattr(OverlapMatrix, "mode_vectors", lambda self: every)
     every_column = mc_estimate_gbar(setup, 20000, 3)
-    assert shapes == {(2 * 2 * 4, 2 * 6), (2 * 6 * 4, 2 * 6)}
+    assert shapes == {(2 * 4, 6), (6 * 4, 6)}
     np.testing.assert_allclose(
         [report.gbar, report.stderr, *report_values(report)],
         [every_column.gbar, every_column.stderr, *report_values(every_column)],
@@ -419,9 +426,10 @@ def test_a_rank_two_overlap_propagates_two_internal_modes(monkeypatch):
 
 
 def run_phasors(u):
-    x = np.empty((*u.shape, 2))
-    engine._phasors(u.copy(), x, np.empty(u.shape), np.empty(u.shape, complex))
-    return x[..., 0], x[..., 1]
+    """The engine's phasors of the draws u (shots x n), as rows (n x shots)."""
+    z = np.empty(u.T.shape, complex)
+    engine._phasors(u.copy(), np.empty(z.shape, np.int64), np.empty(z.shape, complex), z)
+    return z
 
 
 def quadrant_reduced(u):
@@ -436,36 +444,87 @@ def quadrant_reduced(u):
     return cos, sin
 
 
-def phasor_edge_values():
-    step = 1.0 / engine._TURNS
-    edges = np.arange(int(engine._TURNS) + 1) * step
-    edges = np.concatenate([edges, edges[:-1] + step / 2])  # cell centres and the rounding edges
-    near = np.concatenate([np.nextafter(edges, -1.0), edges, np.nextafter(edges, 2.0)])
-    near = near[(near >= 0) & (near < 1)]
-    return np.concatenate([[0.0, 1.0 - 2.0**-53, 2.0**-53, 0.25, 0.5, 0.75], near])
+def grid_edge_indices():
+    """The first, second and last fine turn of every coarse turn, and the
+    turns next to the quarter turns."""
+    starts = np.arange(0, 2**24, 2**12)
+    quarters = np.arange(4) * 2**22
+    near = np.concatenate([quarters - 1, quarters + 1]) % 2**24
+    return np.unique(np.concatenate([starts, starts + 1, starts + 2**12 - 1, near]))
 
 
 @pytest.mark.parametrize("draws", ["philox", "edges"])
 def test_table_phasors_match_numpy(draws):
+    # 10^6 random turns of the 2^24-point grid, or its edge turns
     if draws == "philox":
-        u = np.random.Generator(np.random.Philox(8)).random(10**6)
+        k = np.random.Generator(np.random.Philox(8)).integers(0, 2**24, 10**6)
     else:
-        u = phasor_edge_values()
-    cos, sin = run_phasors(u)
-    assert np.max(np.abs(cos - np.cos(2 * np.pi * u))) <= 1e-15
-    assert np.max(np.abs(sin - np.sin(2 * np.pi * u))) <= 1e-15
+        k = grid_edge_indices()
+    u = k / GRID  # exact: the draw of turn k
+    z = run_phasors(u[:, None])[0]
+    assert np.max(np.abs(z.real - np.cos(2 * np.pi * u))) <= 1e-15
+    assert np.max(np.abs(z.imag - np.sin(2 * np.pi * u))) <= 1e-15
     # numpy's own error is mostly the rounding of 2 pi u; without it the
     # table rule is within two units in the last place
     exact_cos, exact_sin = quadrant_reduced(u)
-    assert np.max(np.abs(cos - exact_cos)) <= 4.5e-16
-    assert np.max(np.abs(sin - exact_sin)) <= 4.5e-16
-    assert np.all(np.abs(cos) <= 1) and np.all(np.abs(sin) <= 1)
-    assert np.array_equal(np.stack(run_phasors(u)), np.stack(reference_phasors(u)))
+    assert np.max(np.abs(z.real - exact_cos)) <= 4.5e-16
+    assert np.max(np.abs(z.imag - exact_sin)) <= 4.5e-16
+    assert np.all(np.abs(z.real) <= 1) and np.all(np.abs(z.imag) <= 1)
+    assert np.array_equal(z, reference_phasors(u))
+
+
+def test_a_draw_takes_the_grid_turn_below_it():
+    k = grid_edge_indices()
+    u = np.concatenate([[1.0 - 2.0**-53, 2.0**-53], k / GRID, np.nextafter(k / GRID, 1.0)])
+    below = np.nextafter(k[k > 0] / GRID, 0.0)  # in the turn before k
+    assert np.array_equal(run_phasors(u[:, None])[0], reference_phasors(u))
+    assert np.array_equal(run_phasors(below[:, None])[0], run_phasors((k[k > 0] - 1)[:, None] / GRID)[0])
+    assert run_phasors(np.array([[1.0 - 2.0**-53]]))[0, 0] == reference_phasors(np.array([1.0 - 1 / GRID]))[0]
+    # a chunk of several sources: row a holds column a of the draws
+    u = np.random.Generator(np.random.Philox(9)).random((7, 3))
+    assert np.array_equal(run_phasors(u), reference_phasors(u).T)
 
 
 def test_turn_table_is_exact_at_the_quarter_turns():
-    q = int(engine._TURNS) // 4
-    assert list(engine._TURN_TABLE[::q]) == [1, 1j, -1, -1j, 1]
+    assert list(engine._COARSE[:: 2**10]) == [1, 1j, -1, -1j]
+    assert engine._FINE[0] == 1
+    assert list(run_phasors(np.array([[0.0], [0.25], [0.5], [0.75]]))[0]) == [1, 1j, -1, -1j]
+
+
+@pytest.mark.parametrize("name", ["fixed", "pseudo-thermal", "custom", "mixed-overlap"])
+def test_source_zero_keeps_phase_zero(monkeypatch, name):
+    # row 0 of the fields is source 0's amplitude: 1 where it is folded into
+    # the detection rows (one level), else its pick; the other rows are
+    # their sources' picks times grid phasors
+    setup = bit_identity_setups()[name]
+    seen = record_fields(monkeypatch)
+    mc_estimate_gbar(setup, 3001, 6, 3)
+    fields = np.concatenate([fields for fields, _ in seen])
+    assert len(fields) == 3001
+    levels = [src.amplitudes if src.amplitudes.size > 1 else np.ones(1) for src in setup.sources]
+    assert np.all(fields[:, 0].imag == 0) and np.all(np.isin(fields[:, 0].real, levels[0]))
+    for a in range(1, setup.n_sources):
+        amplitude = np.abs(fields[:, a])
+        nearest = levels[a][np.argmin(np.abs(amplitude[:, None] - levels[a]), axis=1)]
+        np.testing.assert_allclose(amplitude, nearest, rtol=1e-15, atol=0)
+    if setup.sources[0].amplitudes.size == 1:
+        assert np.all(fields[:, 0] == 1)
+
+
+def complex_fsum(z):
+    return complex(math.fsum(z.real), math.fsum(z.imag))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_grid_phasors_have_the_moments_of_a_uniform_phase(m):
+    # z_k = COARSE[k >> 12] FINE[k & 4095] over the 2^24 turns k, so the sum
+    # of z_k^m is the product of the two tables' sums of m-th powers; for a
+    # uniform phase E z^m = 0 at 0 < m < 2^24, and the coarse sum vanishes
+    coarse, fine = np.ones(2**12, complex), np.ones(2**12, complex)
+    for _ in range(m):
+        coarse *= engine._COARSE
+        fine *= engine._FINE
+    assert abs(complex_fsum(coarse)) * abs(complex_fsum(fine)) <= 1e-9
 
 
 def implied_probabilities(q, alias):
@@ -529,10 +588,9 @@ def test_picks_follow_the_source_probabilities():
     source = ClassicalSource(np.array([0.25, 0.0, 0.75]), np.array([1.0, 2.0, 3.0]))
     picks = engine._alias_picks((source,))
     v = np.random.Generator(np.random.Philox(1)).random((200000, 1))
-    f, out, index = np.empty(v.shape), np.empty(v.shape), np.empty(v.shape, np.int64)
-    offsets = np.zeros(v.shape)
-    amps = engine._pick_amplitudes(v.copy(), picks, offsets, f, out, index)
-    assert np.array_equal(amps, reference_amplitudes(v, picks))
+    t, out, index = np.empty(v.T.shape), np.empty(v.T.shape), np.empty(v.T.shape, np.int64)
+    amps = engine._pick_amplitudes(v.copy(), picks, np.zeros((1, 1)), t, out, index)[0]
+    assert np.array_equal(amps, reference_amplitudes(v, picks)[:, 0])
     counts = np.array([np.count_nonzero(amps == level) for level in (1.0, 2.0, 3.0)])
     assert counts[1] == 0
     assert abs(counts[0] - 50000) <= 5 * np.sqrt(200000 * 0.25 * 0.75)
@@ -628,27 +686,26 @@ def test_mc_misses_by_three_stderr_at_the_student_t_rate(kind, batches):
 
 # ----------------------------------------------------------- serial reference
 # The reference for the threaded, chunked sampler: one batch after another
-# from a single pass over both Philox streams, each batch in chunks of
+# from a single pass over both PCG64 streams, each batch in chunks of
 # _chunk_shots shots whose sums add up in order. The fields follow the draw
-# rule in plain expressions: the table phasor of u, times the alias pick of v
-# when some source has several levels; they propagate through the engine's
-# own rows, which the internal-mode tests check against the vector sum.
+# rule in plain expressions: source 0 keeps phase 0, the others take the
+# table phasors of their phase draws, and all are multiplied by their alias
+# picks when some source has several levels. They propagate through the
+# engine's detection rows, which the internal-mode tests check against the
+# vector sum.
+
+GRID = 2.0**24
 
 
 def reference_phasors(u):
-    """cos 2 pi u and sin 2 pi u: the nearest of the 2^12 table turns, rotated
-    by the series of the residual angle."""
-    turns = u * engine._TURNS
-    k = np.rint(turns)
-    r = turns - k
-    z = engine._TURN_TABLE[k.astype(int)]
-    s1, s3 = engine._SIN_SERIES
-    c2, c4 = engine._COS_SERIES
-    r2 = r * r
-    w = (r2 * c4 + c2) * r2 + 1j * ((r2 * s3 + s1) * r)  # (cos theta - 1) + i sin theta
-    w *= z  # the engine's operand order: numpy's complex product may fuse a multiply-add
-    phasor = z + w
-    return phasor.real, phasor.imag
+    """exp(2 pi i k / 2^24) of the grid turns k = floor(2^24 u) below the
+    draws u: a coarse turn times a fine one."""
+    k = np.floor(u * GRID).astype(np.int64)
+    # in place, as the engine: numpy's complex product fuses a multiply-add,
+    # but not in place on one element
+    z = engine._COARSE[k >> 12]
+    z *= engine._FINE[k & 4095]
+    return z
 
 
 def reference_amplitudes(v, picks):
@@ -661,10 +718,10 @@ def reference_amplitudes(v, picks):
 
 
 def reference_mc(setup, shots, seed, batches=DEFAULT_BATCHES):
-    n = setup.n_sources
-    g = engine._propagator(setup)
+    n, m = setup.n_sources, setup.n_detectors
+    rows = engine._detection_rows(setup)
     picks = engine._alias_picks(setup.sources)
-    chunk = engine._chunk_shots(n, len(g), setup.n_detectors)
+    chunk = engine._chunk_shots(n, len(rows), m)
     phase_ss, pick_ss = np.random.SeedSequence(seed).spawn(2)
     phase_rng = np.random.Generator(np.random.PCG64(phase_ss))
     pick_rng = np.random.Generator(np.random.PCG64(pick_ss))
@@ -673,11 +730,14 @@ def reference_mc(setup, shots, seed, batches=DEFAULT_BATCHES):
         total = None
         for begin in range(0, size, chunk):
             shots = min(chunk, size - begin)
-            x = np.stack(reference_phasors(phase_rng.random((shots, n))), axis=-1)
+            fields = np.ones((n, shots), complex)
+            fields[1:] = reference_phasors(phase_rng.random((shots, n - 1))).T
             if picks is not None:
-                x *= reference_amplitudes(pick_rng.random((shots, n)), picks)[..., None]
-            y, out = np.empty((len(g), shots)), np.empty((setup.n_detectors, shots))
-            sums = batch_sums(engine._intensities(x, g, y, out).T)
+                fields *= reference_amplitudes(pick_rng.random((shots, n)), picks).T
+            # squares summed over internal modes, real and imaginary parts apart
+            modes = (rows @ fields).reshape(-1, m, shots)
+            intensities = sum(a.real**2 for a in modes) + sum(a.imag**2 for a in modes)
+            sums = batch_sums(intensities.T)
             total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
         return total
 
@@ -713,7 +773,7 @@ def test_shot_layouts_cover_uneven_one_shot_and_multi_chunk_batches():
     assert any(len(set(sizes)) > 1 for sizes in layouts)
     assert any(np.all(sizes == 1) for sizes in layouts)
     for setup in bit_identity_setups().values():
-        chunk = engine._chunk_shots(setup.n_sources, len(engine._propagator(setup)), setup.n_detectors)
+        chunk = engine._chunk_shots(setup.n_sources, len(engine._detection_rows(setup)), setup.n_detectors)
         assert any(sizes[0] > chunk for sizes in layouts)
 
 
@@ -730,18 +790,14 @@ def test_threaded_mc_is_bit_identical_to_the_serial_loop(monkeypatch, name, work
 
 @pytest.mark.parametrize("n_sources", range(1, 6))
 def test_seeked_streams_give_the_rows_of_one_full_draw(n_sources):
-    rows = 9
-    for stream in np.random.SeedSequence(7).spawn(2):
-        full = np.random.Generator(np.random.PCG64(stream))
-        phases = full.random(size=(rows, n_sources))
-        picks = full.random(size=(rows, n_sources))
+    # a shot takes n - 1 draws of the phase stream and n of the pick stream
+    rows = 18
+    for stream, width in zip(np.random.SeedSequence(7).spawn(2), (n_sources - 1, n_sources)):
+        full = np.random.Generator(np.random.PCG64(stream)).random(size=(rows, width))
         for start in range(rows):
-            seeked = engine._generator_at(stream, start * n_sources)
-            tail = seeked.random(size=(rows - start, n_sources))
-            assert tail.tobytes() == phases[start:].tobytes()
-            seeked = engine._generator_at(stream, (rows + start) * n_sources)
-            tail = seeked.random(size=(rows - start, n_sources))
-            assert tail.tobytes() == picks[start:].tobytes()
+            seeked = engine._generator_at(stream, start * width)
+            tail = seeked.random(size=(rows - start, width))
+            assert tail.tobytes() == full[start:].tobytes()
 
 
 def test_seeks_far_into_a_stream_match_advancing_in_steps():
@@ -799,6 +855,6 @@ def test_a_failing_batch_fails_the_estimate(monkeypatch):
     def fail(*args):
         raise MemoryError("batch")
 
-    monkeypatch.setattr(engine, "_intensities", fail)
+    monkeypatch.setattr(engine, "_detected_intensities", fail)
     with pytest.raises(MemoryError, match="batch"):
         mc_estimate_gbar(hom_setup(), shots=1000, seed=0)

@@ -94,6 +94,17 @@ def test_random_unitary_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
         random_unitary(3, seed)
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, True, None, "3"])
+def test_random_unitary_refuses_a_dimension_that_is_not_an_integer(m):
+    # 2.5 raised a bare TypeError, and True was taken as 1
+    with pytest.raises(PreconditionError, match="m must be an integer"):
+        random_unitary(m, 1)
+
+
+def test_random_unitary_takes_numpy_integer_dimensions():
+    assert np.array_equal(random_unitary(np.int64(3), 42).matrix, random_unitary(3, 42).matrix)
+
+
 def test_random_unitary_takes_numpy_integer_seeds():
     assert np.array_equal(random_unitary(3, np.int64(42)).matrix, random_unitary(3, 42).matrix)
 

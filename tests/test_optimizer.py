@@ -183,6 +183,33 @@ def test_minimize_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
         minimize_classical_gbar(2, 3, restarts=1, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        {"restarts": True},
+        {"restarts": 2.5},
+        {"max_iters": 2.5},
+        {"max_iters": False},
+        {"n_sources": 2.5},
+        {"n_detectors": 3.0},
+        {"n_sources": None},
+    ],
+)
+def test_minimize_refuses_counts_that_are_not_integers(count):
+    # restarts=True ran one restart and max_iters=2.5 was accepted; the
+    # other floats raised a bare TypeError
+    name = next(iter(count))
+    with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+        multistart_minimize(**{"n_sources": 2, "n_detectors": 3, "restarts": 2, "seed": 0, **count})
+
+
+def test_minimize_takes_numpy_integer_counts():
+    counts = (np.int64(2), np.int32(3))
+    numpy_counts = multistart_minimize(*counts, restarts=np.int64(3), seed=4, max_iters=np.int64(50))
+    python_counts = multistart_minimize(2, 3, restarts=3, seed=4, max_iters=50)
+    assert numpy_counts.restart_values == python_counts.restart_values
+
+
 # ----------------------------------------------------------- reference descent
 # The reference is the earlier descent, one restart at a time
 # (tests/optimizer_reference.py). Its minima on the bound grid come from a

@@ -23,7 +23,9 @@ runs each setup once more on one sampler thread with the engine's stages
 wrapped in timers, so the stages see the estimate's own chunk layout:
 ``draws`` (both streams), ``phasors``, ``picks``, ``propagation`` and
 ``sums``; ``other`` is the rest of that estimate (folding the picks in,
-the loop, the report). The JSON records, per tree and setup, the median
+the loop, the report). Each tree's worker wraps the stage functions that
+tree has, by name (``STAGE_NAMES``), so trees whose engines split the
+stages differently are timed alike. The JSON records, per tree and setup, the median
 and quartiles of the wall time, the shots per second at the median, and the
 median and quartiles of each stage in ns per shot; per tree, the worker's
 peak RSS, the tree's commit (and whether its files differ from it); and
@@ -71,8 +73,14 @@ def build_setups(mp, np):
 
 
 STAGES = ("draws", "phasors", "picks", "propagation", "sums")
-# the engine's module names that a stage-timed estimate replaces
-STAGE_NAMES = {"phasors": "_phasors", "picks": "_pick_amplitudes", "propagation": "_intensities", "sums": "batch_sums"}
+# the engine's module names that a stage-timed estimate replaces: each tree
+# wraps the ones it has (the propagation of an older tree is ``_intensities``)
+STAGE_NAMES = {
+    "phasors": ("_phasors",),
+    "picks": ("_pick_amplitudes",),
+    "propagation": ("_detected_intensities", "_intensities"),
+    "sums": ("batch_sums",),
+}
 
 
 @contextlib.contextmanager
@@ -92,10 +100,11 @@ def timed_stages(engine, seconds: dict):
         def __init__(self, generator):
             self.random = timed("draws", generator.random)
 
-    saved = {name: getattr(engine, name) for name in ("_generator_at", "_worker_count", *STAGE_NAMES.values())}
+    stage_of = {name: stage for stage, names in STAGE_NAMES.items() for name in names if hasattr(engine, name)}
+    saved = {name: getattr(engine, name) for name in ("_generator_at", "_worker_count", *stage_of)}
     engine._generator_at = lambda stream, draws: Stream(saved["_generator_at"](stream, draws))
     engine._worker_count = lambda batches, draws: 1
-    for stage, name in STAGE_NAMES.items():
+    for name, stage in stage_of.items():
         setattr(engine, name, timed(stage, saved[name]))
     try:
         yield
