@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 
@@ -214,7 +215,7 @@ def _quantum_setup(fields: _Fields, broadcast: bool = False) -> QuantumSetup:
     return setup
 
 
-def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+def _run_engine(fields: _Fields) -> tuple[dict, list[str]]:
     """classical-analytic, classical-mc, quantum and oracle: a report and its witness."""
     mode = fields["mode"]
     setup = (_classical_setup if mode.startswith("classical") else _quantum_setup)(fields)
@@ -237,7 +238,7 @@ def _run_engine(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     return {"correlations": rep.to_dict(), "witness": witness}, summary
 
 
-def _run_divisibility(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+def _run_divisibility(fields: _Fields) -> tuple[dict, list[str]]:
     if fields.read("detectors", default="all") != "all":
         raise PreconditionError("divisibility certification needs all outputs monitored")
     setup = _quantum_setup(fields, broadcast=True)
@@ -258,7 +259,7 @@ def _run_divisibility(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     return results, summary
 
 
-def _run_bounds(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+def _run_bounds(fields: _Fields) -> tuple[dict, list[str]]:
     m_min = fields.read("m_min", _integer, 2)
     m_max = fields.read("m_max", _integer, 10)
     eta_value = fields.read("eta", _real, 1.0)
@@ -278,13 +279,12 @@ def _run_bounds(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     return {"thresholds": rows}, lines
 
 
-def _run_optimize(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+def _run_optimize(fields: _Fields) -> tuple[dict, list[str]]:
     n_sources = fields.read("n_sources", _integer)
     n_detectors = fields.read("n_detectors", _integer)
     restarts = fields.read("restarts", _integer, 20)
     seed = fields.read("seed", _seed, 0)
-    trace = sys.stderr if verbose else None
-    result = multistart_minimize(n_sources, n_detectors, restarts=restarts, seed=seed, trace=trace)
+    result = multistart_minimize(n_sources, n_detectors, restarts=restarts, seed=seed)
     value = result.value
     closed_form = bounds.classical_min(n_sources, n_detectors)
     results = {
@@ -305,7 +305,7 @@ def _run_optimize(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     return results, summary
 
 
-def _run_witness(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+def _run_witness(fields: _Fields) -> tuple[dict, list[str]]:
     kind = fields.read("witness_kind", default="nonclassicality")
     gbar = fields.read("gbar", _real)
     stderr = fields.read("stderr", _real, None)
@@ -322,7 +322,7 @@ def _run_witness(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
     return {"witness": verdict.to_dict()}, [verdict.one_line()]
 
 
-def _run_ingest(fields: _Fields, verbose: bool) -> tuple[dict, list[str]]:
+def _run_ingest(fields: _Fields) -> tuple[dict, list[str]]:
     records, rejected = read_shot_records(
         fields.read("records_file"), delimiter=fields.read("delimiter", default=None)
     )
@@ -363,7 +363,7 @@ _RUNNERS = {
 MODES = tuple(_RUNNERS)
 
 
-def run(config: dict, seed_override: int | None = None, verbose: bool = False) -> tuple[dict, list[str]]:
+def run(config: dict, seed_override: int | None = None) -> tuple[dict, list[str]]:
     """Execute one experiment configuration; returns (report, summary lines)."""
     fields = _Fields(config)
     if seed_override is not None:  # replaces the seed of the modes that read one
@@ -371,7 +371,7 @@ def run(config: dict, seed_override: int | None = None, verbose: bool = False) -
     mode = fields.read("mode")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    results, summary = _RUNNERS[mode](fields, verbose)
+    results, summary = _RUNNERS[mode](fields)
     return {"config": dict(fields), "mode": mode, "results": results}, summary
 
 
@@ -384,8 +384,15 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--out", help="write the machine-readable JSON report here")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--verbose", action="store_true", help="emit progress traces")
+    parser.add_argument("--verbose", action="store_true", help="log the optimizer's steps to stderr")
     args = parser.parse_args(argv)
+    # the handler serves this call only, so calls in one process never stack handlers
+    logger, handler = logging.getLogger("multiport"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = logger.level
+    if args.verbose:
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
 
     try:
         try:
@@ -393,7 +400,7 @@ def main(argv=None) -> int:
                 config = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-        report, summary = run(config, seed_override=args.seed, verbose=args.verbose)
+        report, summary = run(config, seed_override=args.seed)
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except (DimensionError, MatrixValidationError, InvalidStatisticsError) as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
@@ -404,6 +411,9 @@ def main(argv=None) -> int:
         engine = isinstance(exc, MultiportError) and not isinstance(exc, ConfigError)
         print(f"{'engine' if engine else 'config'} error: {exc}", file=sys.stderr)
         return EXIT_ENGINE if engine else EXIT_CONFIG
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
     # the bounds table is that mode's summary, written only after the report
     table = report["config"].get("table_out"), "\n".join(summary) + "\n"

@@ -96,7 +96,7 @@ def read_shot_records(
     imputed; the rejected count is returned alongside the accepted records.
     """
     if isinstance(lines, (str, os.PathLike)):
-        with open(lines, encoding="utf-8") as fh:
+        with open(lines, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
             return read_shot_records(fh, delimiter)
     records: list[ShotRecord] = []
     rejected = 0

@@ -16,8 +16,8 @@ frame inequalities that underpin the closed-form lower bound.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .errors import DimensionError, MatrixValidationError, check_integer, check_
 
 NORM_TOL = 1e-10
 _INEQUALITY_TOL = 1e-10
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,17 +255,16 @@ def multistart_minimize(
     restarts: int = 20,
     seed: int = 0,
     max_iters: int = 2000,
-    trace: TextIO | None = None,
 ) -> MultistartResult:
     """Multistart minimization of the classical pair average, with diagnostics.
 
     Restart k starts from the k-th child of ``SeedSequence(seed)``; the seed
     must be a non-negative integer (else ``PreconditionError``). Restarts
     descend together in blocks of ``RESTART_BLOCK``. The restart with the
-    lowest final value wins, ties broken by the lower index. ``trace``
-    receives one ``restart<TAB>iteration<TAB>value`` line per accepted step,
-    restart-major. The counts must be integers (Python or numpy, not bool),
-    else ``PreconditionError``.
+    lowest final value wins, ties broken by the lower index. With DEBUG
+    enabled on the ``multiport.optimizer`` logger, each accepted step logs
+    one ``restart<TAB>iteration<TAB>value`` record, restart-major. The counts
+    must be integers (Python or numpy, not bool), else ``PreconditionError``.
     """
     n_sources, n_detectors = check_integer(n_sources, "n_sources"), check_integer(n_detectors, "n_detectors")
     restarts, max_iters = check_integer(restarts, "restarts"), check_integer(max_iters, "max_iters")
@@ -276,6 +277,7 @@ def multistart_minimize(
     children = np.random.SeedSequence(check_seed(seed)).spawn(restarts)
     values, iterations = [], []
     best, best_point = 0, None
+    record = logger.isEnabledFor(logging.DEBUG)
     for first in range(0, restarts, RESTART_BLOCK):
         starts = []
         for child in children[first : first + RESTART_BLOCK]:
@@ -286,15 +288,10 @@ def multistart_minimize(
                     + 1j * rng.standard_normal((n_detectors, n_sources))
                 )
             )
-        value, p, steps, accepted = _descend(np.stack(starts), max_iters, trace is not None)
-        if trace is not None:
-            trace.write(
-                "".join(
-                    f"{first + k}\t{it}\t{v:.17g}\n"
-                    for k, history in enumerate(accepted)
-                    for it, v in enumerate(history)
-                )
-            )
+        value, p, steps, accepted = _descend(np.stack(starts), max_iters, record)
+        for k, history in enumerate(accepted):
+            for it, v in enumerate(history):
+                logger.debug("%d\t%d\t%.17g", first + k, it, v)
         k = int(np.argmin(value))
         if best_point is None or value[k] < values[best]:
             best, best_point = first + k, p[k]
@@ -316,7 +313,6 @@ def minimize_classical_gbar(
     restarts: int = 20,
     seed: int = 0,
     max_iters: int = 2000,
-    trace: TextIO | None = None,
 ) -> tuple[float, PsiConfiguration]:
     """Multistart minimization of the classical pair average.
 
@@ -324,7 +320,7 @@ def minimize_classical_gbar(
     wins, ties broken by restart index. Returns (best value, argmin); see
     :func:`multistart_minimize` for the diagnostics.
     """
-    result = multistart_minimize(n_sources, n_detectors, restarts, seed, max_iters, trace)
+    result = multistart_minimize(n_sources, n_detectors, restarts, seed, max_iters)
     return result.value, result.argmin
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_classical_setup, report_values
 
@@ -27,7 +28,7 @@ from multiport import (
     mc_estimate_gbar,
     pseudo_thermal_source,
 )
-from multiport.report import DEFAULT_BATCHES, batch_sizes, batch_sums, report_from_batches
+from multiport.report import DEFAULT_BATCHES, assemble_report, batch_sizes, batch_sums, report_from_batches
 
 
 def hom_setup(energy_scale=1.0):
@@ -420,6 +421,69 @@ def test_a_rank_two_overlap_propagates_two_internal_modes(monkeypatch):
         [every_column.gbar, every_column.stderr, *report_values(every_column)],
         rtol=1e-12, atol=0,
     )
+
+
+# ----------------------------------------------------------- phase-grid oracle
+
+
+def grid_oracle_report(setup, points=3):
+    """The classical report by exact enumeration: source 0 at phase 0, every
+    other source at ``points`` equally spaced phases, and every amplitude
+    level with its probability, propagated by the engine's own detection
+    rows. I_i I_j is a trigonometric polynomial of degree at most 2 in each
+    phase, and sums of K-th roots of unity vanish below order K, so 3 points
+    give the exact means and pair products; 2 do not."""
+    n = setup.n_sources
+    turn = np.exp(2j * np.pi * np.arange(points) / points)
+    factors = [(np.ones(1), np.ones(1))] + [(np.full(points, 1 / points), turn)] * (n - 1)
+    factors += [(s.probabilities, s.amplitudes if s.amplitudes.size > 1 else np.ones(1)) for s in setup.sources]
+    picks = [g.ravel() for g in np.meshgrid(*[np.arange(p.size) for p, _ in factors], indexing="ij")]
+    prob = np.prod([p[k] for (p, _), k in zip(factors, picks)], axis=0)
+    values = np.array([v[k] for (_, v), k in zip(factors, picks)], dtype=complex)
+    z = values[:n] * values[n:]  # one column per configuration
+    rows = engine._detection_rows(setup)
+    intensities = engine._detected_intensities(
+        z, rows, np.empty((len(rows), prob.size), complex), np.empty((setup.n_detectors, prob.size))
+    )
+    products = (intensities * prob) @ intensities.T
+    return assemble_report(setup.detectors, intensities @ prob, products, "analytic", setup.energy_scale)
+
+
+def random_small_source(rng):
+    kind = rng.integers(3)
+    if kind == 0:
+        return fixed_source(float(rng.uniform(0.3, 2.0)))
+    if kind == 1:
+        return pseudo_thermal_source(float(rng.uniform(0.2, 2.0)), levels=3)
+    return ClassicalSource(rng.dirichlet(np.ones(2)), rng.uniform(0.1, 2.0, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 4), m=st.integers(2, 5), overlap=st.booleans(), seed=st.integers(0, 2**32 - 1)
+)
+def test_the_phase_grid_is_an_exact_classical_oracle(n, m, overlap, seed):
+    # non-unitary transfers; the overlaps have a random rank
+    rng = np.random.default_rng(seed)
+    transfer = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    sources = tuple(random_small_source(rng) for _ in range(n))
+    v = random_overlap(rng, n, int(rng.integers(1, n + 1))) if overlap else None
+    setup = ClassicalSetup(transfer, sources, overlap=v, energy_scale=float(rng.uniform(0.5, 2.0)))
+    grid, closed = grid_oracle_report(setup), classical_gbar(setup)
+    assert grid.active_detectors == closed.active_detectors
+    np.testing.assert_allclose(
+        [grid.gbar, *report_values(grid)], [closed.gbar, *report_values(closed)], rtol=1e-12, atol=0
+    )
+
+
+def test_a_two_point_phase_grid_misses():
+    # on 2 points exp(2i phase) = 1, so the order-2 terms of I_i I_j do not average out
+    rng = np.random.default_rng(7)
+    transfer = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    setup = ClassicalSetup(transfer, tuple(fixed_source(1.0) for _ in range(3)))
+    closed = classical_gbar(setup).gbar
+    assert grid_oracle_report(setup).gbar == pytest.approx(closed, rel=1e-14)
+    assert abs(grid_oracle_report(setup, points=2).gbar - closed) > 1e-3
 
 
 # ----------------------------------------------------------- draw rule

@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 import multiport.cli as cli
-from multiport import errors, ftm, save_matrix
+import multiport.optimizer as optimizer
+from multiport import errors, ftm, multistart_minimize, save_matrix
 from multiport.cli import EXIT_CONFIG, EXIT_DIMENSION, EXIT_ENGINE, EXIT_OK, main
 
 
@@ -176,6 +179,54 @@ def test_optimize_verbose_emits_trace(tmp_path, capsys):
     restart, iteration, objective = trace_lines[0].split("\t")
     assert restart == "0" and iteration == "0"
     assert 0.0 < float(objective) <= 1.5
+
+
+OPTIMIZE_3X3 = {"mode": "optimize", "n_sources": 3, "n_detectors": 3, "restarts": 4, "seed": 2}
+
+
+def test_repeated_verbose_runs_print_each_step_once(tmp_path, capsys):
+    handlers = list(logging.getLogger("multiport").handlers)
+    runs = []
+    for _ in range(2):
+        code, report, _ = run_cli(tmp_path, OPTIMIZE_3X3, extra=["--verbose"])
+        assert code == EXIT_OK
+        runs.append(capsys.readouterr().err.splitlines())
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == sum(report["results"]["iterations"])
+    assert logging.getLogger("multiport").handlers == handlers
+
+
+def test_without_verbose_no_step_is_recorded(tmp_path, capsys, monkeypatch):
+    flags = []
+    descend = optimizer._descend
+
+    def recording(p, max_iters, record):
+        flags.append(record)
+        return descend(p, max_iters, record)
+
+    monkeypatch.setattr(optimizer, "_descend", recording)
+    # a verbose run first: the next run in the process must not inherit its level
+    assert run_cli(tmp_path, OPTIMIZE_3X3, extra=["--verbose"])[0] == EXIT_OK
+    capsys.readouterr()
+    assert run_cli(tmp_path, OPTIMIZE_3X3)[0] == EXIT_OK
+    assert flags == [True, False]
+    assert capsys.readouterr().err == ""
+
+
+def test_a_library_logger_gets_the_verbose_lines(tmp_path, capsys):
+    assert run_cli(tmp_path, OPTIMIZE_3X3, extra=["--verbose"])[0] == EXIT_OK
+    verbose = capsys.readouterr().err
+    stream, logger = io.StringIO(), logging.getLogger("multiport.optimizer")
+    handler = logging.StreamHandler(stream)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        multistart_minimize(3, 3, restarts=4, seed=2)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
+    assert verbose and stream.getvalue() == verbose
 
 
 def test_oracle_mode(tmp_path):

@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,18 @@ def test_reader_from_file(tmp_path):
     assert len(records) == 2 and rejected == 0
     records, rejected = read_shot_records(path)
     assert len(records) == 2 and rejected == 0
+
+
+@pytest.mark.parametrize(
+    "text", ["1.0 2.0\n3.0 4.0\n", "1.0,2.0\n3.0,4.0\n", "a b\n1.0 2.0\n3.0 4.0\n", "a,b\n1.0,2.0\n3.0,4.0\n"]
+)
+def test_reader_skips_a_byte_order_mark(tmp_path, text):
+    # a UTF-8 BOM, as spreadsheet CSV exports write, belongs to no record
+    path = tmp_path / "shots.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    records, rejected = read_shot_records(path)
+    assert [r.intensities.tolist() for r in records] == [[1.0, 2.0], [3.0, 4.0]]
+    assert rejected == 0
 
 
 def test_reader_takes_a_str_as_a_path_never_as_record_text():

@@ -1,4 +1,4 @@
-import io
+import logging
 
 import numpy as np
 import pytest
@@ -153,10 +153,15 @@ def test_minimize_is_deterministic():
     assert np.array_equal(c1.vectors, c2.vectors)
 
 
-def test_minimize_emits_trace():
-    stream = io.StringIO()
-    minimize_classical_gbar(2, 2, restarts=2, seed=1, trace=stream)
-    lines = stream.getvalue().strip().splitlines()
+def trace_lines(caplog) -> list[str]:
+    """The optimizer's DEBUG records captured so far, one trace line each."""
+    return [r.getMessage() for r in caplog.records if r.name == "multiport.optimizer"]
+
+
+def test_minimize_emits_trace(caplog):
+    caplog.set_level(logging.DEBUG, logger="multiport.optimizer")
+    minimize_classical_gbar(2, 2, restarts=2, seed=1)
+    lines = trace_lines(caplog)
     assert lines
     restart, iteration, objective = lines[0].split("\t")
     assert int(restart) == 0 and int(iteration) == 0
@@ -270,12 +275,12 @@ def test_batched_descent_matches_reference_property(n, m, restarts, seed, max_it
 
 
 @pytest.mark.parametrize("n,m,seed", [(4, 2, 1), (5, 2, 1), (2, 2, 2), (4, 3, 0)])
-def test_accepted_values_pass_the_nonmonotone_test(n, m, seed):
+def test_accepted_values_pass_the_nonmonotone_test(caplog, n, m, seed):
     # each accepted value is at most the largest of the NONMONOTONE values
     # before it, the start included, so none is above the start
-    stream = io.StringIO()
-    multistart_minimize(n, m, restarts=4, seed=seed, max_iters=300, trace=stream)
-    rows = np.array([line.split("\t") for line in stream.getvalue().splitlines()], dtype=float)
+    caplog.set_level(logging.DEBUG, logger="multiport.optimizer")
+    multistart_minimize(n, m, restarts=4, seed=seed, max_iters=300)
+    rows = np.array([line.split("\t") for line in trace_lines(caplog)], dtype=float)
     for restart, start in enumerate(start_values(n, m, 4, seed)):
         history = [start, *rows[rows[:, 0] == restart, 2]]
         assert len(history) >= 3
@@ -349,23 +354,25 @@ def test_restart_at_its_minimum_retires_after_its_first_kernel_call(monkeypatch)
             assert value[0] == pytest.approx(classical_min(n, m), abs=1e-12)
 
 
-def test_restart_blocks_do_not_change_results(monkeypatch):
+def test_restart_blocks_do_not_change_results(monkeypatch, caplog):
     whole = multistart_minimize(3, 4, restarts=7, seed=5)
     monkeypatch.setattr(optimizer, "RESTART_BLOCK", 3)
-    stream = io.StringIO()
-    blocked = multistart_minimize(3, 4, restarts=7, seed=5, trace=stream)
+    caplog.set_level(logging.DEBUG, logger="multiport.optimizer")
+    blocked = multistart_minimize(3, 4, restarts=7, seed=5)
     assert np.max(np.abs(np.subtract(blocked.restart_values, whole.restart_values))) <= 1e-12
-    restarts = [int(line.split("\t")[0]) for line in stream.getvalue().splitlines()]
+    restarts = [int(line.split("\t")[0]) for line in trace_lines(caplog)]
     assert sorted(set(restarts)) == list(range(7))
     assert restarts == sorted(restarts)
 
 
-def test_trace_is_restart_major_and_reproducible():
-    first, second = io.StringIO(), io.StringIO()
-    result = multistart_minimize(3, 3, restarts=6, seed=2, trace=first)
-    multistart_minimize(3, 3, restarts=6, seed=2, trace=second)
-    assert first.getvalue() == second.getvalue()
-    rows = [line.split("\t") for line in first.getvalue().splitlines()]
+def test_trace_is_restart_major_and_reproducible(caplog):
+    caplog.set_level(logging.DEBUG, logger="multiport.optimizer")
+    result = multistart_minimize(3, 3, restarts=6, seed=2)
+    first = trace_lines(caplog)
+    caplog.clear()
+    multistart_minimize(3, 3, restarts=6, seed=2)
+    assert first == trace_lines(caplog)
+    rows = [line.split("\t") for line in first]
     for restart, steps in enumerate(result.iterations):
         mine = [row for row in rows if int(row[0]) == restart]
         assert [int(row[1]) for row in mine] == list(range(steps))

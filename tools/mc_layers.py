@@ -74,12 +74,12 @@ def build_setups(mp, np):
 
 STAGES = ("draws", "phasors", "picks", "propagation", "sums")
 # the engine's module names that a stage-timed estimate replaces: each tree
-# wraps the ones it has (the propagation of an older tree is ``_intensities``)
+# wraps the ones it has
 STAGE_NAMES = {
-    "phasors": ("_phasors",),
-    "picks": ("_pick_amplitudes",),
-    "propagation": ("_detected_intensities", "_intensities"),
-    "sums": ("batch_sums",),
+    "phasors": "_phasors",
+    "picks": "_pick_amplitudes",
+    "propagation": "_detected_intensities",
+    "sums": "batch_sums",
 }
 
 
@@ -100,7 +100,7 @@ def timed_stages(engine, seconds: dict):
         def __init__(self, generator):
             self.random = timed("draws", generator.random)
 
-    stage_of = {name: stage for stage, names in STAGE_NAMES.items() for name in names if hasattr(engine, name)}
+    stage_of = {name: stage for stage, name in STAGE_NAMES.items() if hasattr(engine, name)}
     saved = {name: getattr(engine, name) for name in ("_generator_at", "_worker_count", *stage_of)}
     engine._generator_at = lambda stream, draws: Stream(saved["_generator_at"](stream, draws))
     engine._worker_count = lambda batches, draws: 1
