@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import DimensionError, InvalidStatisticsError, PreconditionError
 from .report import CorrelationReport
+from .sources import TAIL_TOL
 
 # Certification requires the margin to exceed this many standard errors when
 # an uncertainty is supplied; the one rule, not a parameter.
@@ -29,9 +30,10 @@ SIGMA_RULE = 3.0
 MIN_CERTIFY_BATCHES = 20
 
 # Margins within this absolute epsilon count as boundary values, which are
-# attainable and therefore never violations; keeps exact-threshold inputs on
-# the non-violating side despite floating-point rounding of the thresholds.
-BOUNDARY_MARGIN = 1e-12
+# attainable and therefore never violations. It covers the rounding of the
+# thresholds and the eta a source's cutoff may add, since gbar >= classical_min
+# - max_a max(eta_a, 0): truncation alone cannot certify.
+BOUNDARY_MARGIN = TAIL_TOL
 
 CLASSICAL_COMPATIBLE = "classical-compatible"
 NONCLASSICAL = "nonclassical"

@@ -10,7 +10,7 @@ serve as cross-checks of one another.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -355,14 +355,17 @@ def mc_estimate_gbar(
     sizes = batch_sizes(shots, batches).tolist()
     starts = np.cumsum(sizes) - sizes
     chunk = min(_chunk_shots(n, len(rows), setup.n_detectors), sizes[0])
+    workers = _worker_count(len(sizes), sizes[0] * n)
+    edges = [len(sizes) * w // workers for w in range(workers + 1)]
 
-    def run(first: int, stop: int):  # the sums of batches first..stop-1
+    def run(w: int):  # the sums of the batches of range w
+        first = edges[w]
         phase_rng = _generator_at(streams[0], int(starts[first]) * (n - 1))
         pick_rng = _generator_at(streams[1], int(starts[first]) * n)
         views = _workspace(chunk, n, len(rows), setup.n_detectors)
         # an overflowing intensity is refused by the report (the setting is per thread)
         with np.errstate(over="ignore", invalid="ignore"):
-            for size in sizes[first:stop]:
+            for size in sizes[first : edges[w + 1]]:
                 total = None
                 for begin in range(0, size, chunk):
                     z, phasing, picking, detecting, summing = views(min(chunk, size - begin))
@@ -374,9 +377,11 @@ def mc_estimate_gbar(
                     total = sums if total is None else tuple(a + b for a, b in zip(total, sums))
                 yield total
 
-    workers = _worker_count(len(sizes), sizes[0] * n)
-    edges = [len(sizes) * w // workers for w in range(workers + 1)]
-    ranges = _map_in_threads(lambda w: list(run(edges[w], edges[w + 1])), workers)
+    # numpy releases the GIL in the heavy stages; the caller takes range 0, so
+    # one worker starts no thread, and the pool joins its threads on any error
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        others = pool.map(lambda w: list(run(w)), range(1, workers))
+        ranges = [list(run(0)), *others]
     return report_from_batches(sum(ranges, []), "monte-carlo", setup.energy_scale)
 
 
@@ -392,26 +397,3 @@ def _worker_count(batches: int, draws: int) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, batches))
 
-
-def _map_in_threads(fn, n: int) -> list:
-    """``[fn(k) for k in range(n)]`` with ``fn(0)`` on the calling thread and
-    ``fn(k)`` on thread k; numpy releases the GIL in the sampler's heavy
-    stages. The caller works too, so there is one fewer thread's heap of batch
-    arrays (2 MB less peak memory than a thread pool)."""
-    results, failures = [None] * n, []
-
-    def work(k: int):
-        try:
-            results[k] = fn(k)
-        except BaseException as exc:  # raised again in the calling thread
-            failures.append(exc)
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, n)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
-    return results

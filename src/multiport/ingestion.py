@@ -89,20 +89,21 @@ def read_shot_records(
     without one, at commas if the first line has any, else at whitespace.
 
     ``lines`` may be a path (a ``str`` is always a path, never record text)
-    or an iterable of lines. An optional first line of non-numeric labels is
+    or an iterable of lines; a byte-order mark that opens the first line is
+    skipped. An optional first line of non-numeric labels is
     a header and fixes the detector count; a line of labels anywhere else is
     rejected. Shots with a wrong column count or
     unparseable, negative, or non-finite values are rejected rather than
     imputed; the rejected count is returned alongside the accepted records.
     """
     if isinstance(lines, (str, os.PathLike)):
-        with open(lines, encoding="utf-8-sig") as fh:  # a byte-order mark is not data
+        with open(lines, encoding="utf-8") as fh:
             return read_shot_records(fh, delimiter)
     records: list[ShotRecord] = []
     rejected = 0
     n_columns: int | None = None
-    for line in lines:
-        line = line.strip()
+    for k, line in enumerate(lines):
+        line = (line.removeprefix("\ufeff") if k == 0 else line).strip()  # a byte-order mark is not data
         if not line or line.startswith("#"):
             continue
         first = n_columns is None and not rejected  # the first non-comment line

@@ -20,7 +20,7 @@ from .errors import (
     UndefinedEtaError,
 )
 
-# Constructors refuse to renormalize away more tail probability than this.
+# Constructors refuse to drop more tail probability, or add more eta, than this.
 TAIL_TOL = 1e-10
 # Probability vectors must sum to one within this tolerance.
 NORMALIZATION_TOL = 1e-12
@@ -79,14 +79,26 @@ class PhotonStatistics:
         return self.second_moment - self.mean**2
 
 
-def _renormalized(pmf: np.ndarray, what: str) -> PhotonStatistics:
+def _renormalized(pmf: np.ndarray, what: str, eta_law: float) -> PhotonStatistics:
+    """``pmf``, a law of eta ``eta_law`` cut off, rescaled to sum to one. The
+    cutoff is refused unless the dropped tail is within ``TAIL_TOL`` and
+    mean - variance <= (max(eta_law, 0) + TAIL_TOL) mean^2: rescaling lowers
+    the variance against the mean, so a truncated laser or lamp could pass
+    for sub-Poissonian light (at cutoff 1 its eta is 1). The rule multiplies
+    rather than divides, so a mean whose square underflows is kept."""
     tail = 1.0 - pmf.sum()
     if tail > TAIL_TOL:
         raise TruncationError(
             f"{what}: cutoff {pmf.size - 1} leaves tail mass {tail:.3e} > {TAIL_TOL:g};"
             " increase the cutoff"
         )
-    return PhotonStatistics(pmf / pmf.sum())
+    stats = PhotonStatistics(pmf / pmf.sum())
+    if stats.mean - stats.variance > (max(eta_law, 0.0) + TAIL_TOL) * stats.mean**2:
+        raise TruncationError(
+            f"{what}: cutoff {pmf.size - 1} makes the law look sub-Poissonian (eta"
+            f" {eta(stats):.3e}, untruncated {eta_law:.6g}); increase the cutoff"
+        )
+    return stats
 
 
 def fock(n: int) -> PhotonStatistics:
@@ -107,7 +119,7 @@ def coherent(mean: float, cutoff: int) -> PhotonStatistics:
     n = np.arange(cutoff + 1)
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff + 1)))))
     pmf = np.exp(-mean + n * np.log(mean) - log_factorial)
-    return _renormalized(pmf, f"coherent(mean={mean})")
+    return _renormalized(pmf, f"coherent(mean={mean})", 0.0)
 
 
 def thermal(mean: float, cutoff: int) -> PhotonStatistics:
@@ -119,7 +131,7 @@ def thermal(mean: float, cutoff: int) -> PhotonStatistics:
     ratio = mean / (1.0 + mean)
     n = np.arange(cutoff + 1)
     pmf = (1.0 - ratio) * ratio**n
-    return _renormalized(pmf, f"thermal(mean={mean})")
+    return _renormalized(pmf, f"thermal(mean={mean})", -1.0)
 
 
 def squeezed_vacuum(r: float, cutoff: int) -> PhotonStatistics:
@@ -139,7 +151,9 @@ def squeezed_vacuum(r: float, cutoff: int) -> PhotonStatistics:
         pmf[2 * k] = term
         term *= tanh2 * (2 * k + 1) / (2 * k + 2)
         k += 1
-    return _renormalized(pmf, f"squeezed_vacuum(r={r})")
+    with np.errstate(divide="ignore"):  # -inf once sinh(r)^2 underflows
+        eta_law = -2.0 - 1.0 / np.sinh(r) ** 2
+    return _renormalized(pmf, f"squeezed_vacuum(r={r})", eta_law)
 
 
 def eta(stats: PhotonStatistics) -> float:

@@ -18,7 +18,7 @@ from multiport import (
     oracle_gbar,
     symmetric_quantum_min,
 )
-from multiport.bounds import MIN_CERTIFY_BATCHES
+from multiport.bounds import BOUNDARY_MARGIN, MIN_CERTIFY_BATCHES
 
 
 # ----------------------------------------------------------- classical bound
@@ -260,11 +260,12 @@ def test_report_refuses_a_detector_count_it_does_not_have():
 
 
 def test_pruned_oracle_report_never_certifies():
-    # two coherent inputs sit exactly on the bound 1/2; pruning biases the
-    # oracle's gbar to just below it, so the bare number certifies falsely
+    # two coherent inputs sit exactly on the bound 1/2; pruning at 1e-12
+    # biases the oracle's gbar by 3.2e-10, beyond BOUNDARY_MARGIN, so the bare
+    # number certifies falsely
     light = coherent(1, 40)
-    rep = oracle_gbar(QuantumSetup(ftm(2), (light, light)), photon_limit=80)
-    assert rep.pruned_mass > 0 and rep.gbar < 0.5
+    rep = oracle_gbar(QuantumSetup(ftm(2), (light, light)), photon_limit=80, prune_tol=1e-12)
+    assert rep.pruned_mass > 0 and rep.gbar < 0.5 - BOUNDARY_MARGIN
     assert nonclassicality_witness(rep.gbar, 2, 2).classification == "nonclassical"
     assert nonclassicality_witness(rep, 2, 2).classification == "inconclusive"
     assert divisibility_witness(rep.gbar, 2, eta(light)).classification == "indivisible-certified"

@@ -57,7 +57,7 @@ def test_oracle_reports_are_byte_identical_with_their_diagnostics(tmp_path):
     payload = dict(
         HOM_QUANTUM,
         mode="oracle",
-        sources=[{"kind": "coherent", "mean": 0.5, "cutoff": 10}, {"kind": "fock", "n": 1}],
+        sources=[{"kind": "coherent", "mean": 0.5, "cutoff": 12}, {"kind": "fock", "n": 1}],
         photon_limit=20,
         prune_tol=1e-6,
     )
@@ -242,6 +242,37 @@ def test_oracle_mode(tmp_path):
     assert corr["provenance"] == "oracle"
     assert corr["gbar"] == pytest.approx(0.5, abs=1e-9)
     assert corr["pruned_mass"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "mode, source",
+    [
+        ("quantum", {"kind": "coherent", "mean": 1e-6, "cutoff": 1}),
+        ("quantum", {"kind": "thermal", "mean": 1e-6, "cutoff": 1}),
+        ("quantum", {"kind": "coherent", "mean": 12}),
+        ("oracle", {"kind": "coherent", "mean": 0.5, "cutoff": 10}),
+    ],
+)
+def test_a_cutoff_that_fakes_sub_poissonian_light_exits_4(tmp_path, capsys, mode, source):
+    # each certified nonclassical once, with a margin of 0.5 down to 1.6e-9
+    payload = {"mode": mode, "interferometer": {"ftm": 2}, "sources": [source] * 2, "prune_tol": 0}
+    code, report, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_ENGINE and report is None
+    assert "sub-Poissonian" in capsys.readouterr().err
+
+
+def test_exact_oracle_on_coherent_light_is_classical_compatible(tmp_path):
+    payload = {
+        "mode": "oracle",
+        "interferometer": {"ftm": 2},
+        "sources": [{"kind": "coherent", "mean": 0.5, "cutoff": 12}] * 2,
+        "photon_limit": 24,
+        "prune_tol": 0,
+    }
+    code, report, _ = run_cli(tmp_path, payload)
+    assert code == EXIT_OK
+    assert report["results"]["correlations"]["pruned_mass"] == 0
+    assert report["results"]["witness"]["classification"] == "classical-compatible"
 
 
 @pytest.mark.parametrize("prune_tol", [10, 0.3])

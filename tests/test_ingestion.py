@@ -1,4 +1,5 @@
 import codecs
+import io
 
 import numpy as np
 import pytest
@@ -158,9 +159,14 @@ def test_reader_skips_a_byte_order_mark(tmp_path, text):
     # a UTF-8 BOM, as spreadsheet CSV exports write, belongs to no record
     path = tmp_path / "shots.csv"
     path.write_bytes(codecs.BOM_UTF8 + text.encode())
-    records, rejected = read_shot_records(path)
-    assert [r.intensities.tolist() for r in records] == [[1.0, 2.0], [3.0, 4.0]]
-    assert rejected == 0
+    # a path, a file the caller opened as utf-8, and a list of lines
+    with open(path, encoding="utf-8") as fh:
+        for lines in (path, fh, io.StringIO("\ufeff" + text), ("\ufeff" + text).splitlines()):
+            records, rejected = read_shot_records(lines)
+            assert [r.intensities.tolist() for r in records] == [[1.0, 2.0], [3.0, 4.0]]
+            assert rejected == 0
+    # only the first line can open with one
+    assert read_shot_records(["1 2", "\ufeff3 4"])[1] == 1
 
 
 def test_reader_takes_a_str_as_a_path_never_as_record_text():

@@ -17,6 +17,7 @@ from multiport import (
     OracleLimitError,
     PhotonStatistics,
     QuantumSetup,
+    TruncationError,
     UnitaryMatrix,
     classical_gbar,
     classical_min,
@@ -26,6 +27,7 @@ from multiport import (
     fixed_source,
     fock,
     ftm,
+    nonclassicality_witness,
     oracle_gbar,
     quantum_gbar,
     random_unitary,
@@ -455,14 +457,14 @@ def test_public_pair_correlator_matches_reference():
 
 
 def three_mixed_sources():
-    return coherent(0.6, 10), thermal(0.2, 12), squeezed_vacuum(0.3, 16)
+    return coherent(0.6, 12), thermal(0.2, 12), squeezed_vacuum(0.3, 16)
 
 
 def mixed_setups():
     custom = PhotonStatistics(np.array([0.5, 0.3, 0.0, 0.2]))
     four_mode = QuantumSetup(
         random_unitary(4, 31),
-        (fock(2), coherent(0.3, 8), custom, thermal(0.2, 12)),
+        (fock(2), coherent(0.3, 10), custom, thermal(0.2, 12)),
         detectors=(3, 0, 2),
         energy_scale=0.7,
     )
@@ -529,10 +531,10 @@ def test_photon_limit_is_checked_before_any_amplitude(monkeypatch):
 
 
 def test_oracle_reports_its_configuration_count():
-    setup = QuantumSetup(ftm(3), (fock(1), coherent(0.5, 10), thermal(0.2, 12)))
+    setup = QuantumSetup(ftm(3), (fock(1), coherent(0.5, 12), thermal(0.2, 12)))
     report = oracle_gbar(setup, photon_limit=30, prune_tol=0.0)
-    assert report.configurations == 11 * 13
-    assert report.to_dict()["configurations"] == 11 * 13
+    assert report.configurations == 13 * 13
+    assert report.to_dict()["configurations"] == 13 * 13
     assert "configurations" not in quantum_gbar(setup).to_dict()
 
 
@@ -565,3 +567,62 @@ def test_oracle_equals_closed_form_property(weights, seed, data):
     assert report.gbar == pytest.approx(closed.gbar, rel=1e-10, abs=1e-10)
     for (_, _, r), (_, _, c) in zip(report.pair_ratios, closed.pair_ratios):
         assert r == pytest.approx(c, rel=1e-10, abs=1e-10)
+
+
+def test_coherent_light_at_an_accepted_cutoff_is_classical_compatible():
+    # the cross-check's oracle input: truncation leaves gbar 2.4e-12 below
+    # the bound, within the boundary margin
+    rep = quantum_gbar(QuantumSetup(ftm(3), (coherent(0.5, 12),) * 3))
+    verdict = nonclassicality_witness(rep, 3, 3)
+    assert 0 < verdict.margin < 1e-11 and verdict.classification == "classical-compatible"
+
+
+def accepts(law, x, cutoff):
+    try:
+        law(x, cutoff)
+    except TruncationError:
+        return False
+    return True
+
+
+@st.composite
+def truncated_laws(draw, tops, max_cutoff):
+    """A coherent, thermal or squeezed law (mean or r up to its ``tops``
+    entry) at its smallest accepted cutoff or just above, where truncation
+    lowers the variance the most."""
+    name = draw(st.sampled_from(sorted(tops)))
+    law = {"coherent": coherent, "thermal": thermal, "squeezed": squeezed_vacuum}[name]
+    x = tops[name] * 10 ** draw(st.floats(-6, 0))
+    cutoff = next(c for c in itertools.count() if accepts(law, x, c)) + draw(st.integers(0, 2))
+    assume(cutoff <= max_cutoff and accepts(law, x, cutoff))
+    return law(x, cutoff)
+
+
+def assert_never_nonclassical(report, stats):
+    lit = sum(q.mean > 0 for q in stats)
+    verdict = nonclassicality_witness(report, lit, len(report.active_detectors))
+    assert verdict.classification != "nonclassical", verdict
+
+
+CLOSED_FORM_TOPS = {"coherent": 15.0, "thermal": 15.0, "squeezed": 1.5}
+ORACLE_TOPS = {"coherent": 1.2, "thermal": 0.3, "squeezed": 0.28}  # cutoffs up to 15
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda m: st.lists(truncated_laws(CLOSED_FORM_TOPS, 400), min_size=m, max_size=m)
+    )
+)
+def test_accepted_cutoffs_never_certify_through_the_closed_form(stats):
+    assume(any(q.mean > 0 for q in stats))
+    assert_never_nonclassical(quantum_gbar(QuantumSetup(ftm(len(stats)), tuple(stats))), stats)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(truncated_laws(ORACLE_TOPS, 15), min_size=2, max_size=2))
+def test_accepted_cutoffs_never_certify_through_the_exact_oracle(stats):
+    assume(any(q.mean > 0 for q in stats))
+    report = oracle_gbar(QuantumSetup(ftm(2), tuple(stats)), photon_limit=30, prune_tol=0.0)
+    assert report.pruned_mass == 0.0
+    assert_never_nonclassical(report, stats)

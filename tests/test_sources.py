@@ -140,6 +140,30 @@ def test_squeezed_insufficient_cutoff():
         squeezed_vacuum(1.5, 6)
 
 
+@pytest.mark.parametrize("law", [coherent, thermal])
+def test_a_cutoff_that_fakes_sub_poissonian_light_is_refused(law):
+    # the dropped tail is 5e-13, but the rescaled law lives on {0, 1}: eta = 1
+    with pytest.raises(TruncationError, match="sub-Poissonian"):
+        law(1e-6, 1)
+    assert eta(law(1e-6, 3)) <= 1e-10
+
+
+def test_coherent_above_mean_11_6_needs_more_than_cutoff_40():
+    assert eta(coherent(11.5, 40)) == pytest.approx(8.2e-11, rel=0.01)
+    with pytest.raises(TruncationError, match="sub-Poissonian"):
+        coherent(11.6, 40)
+    with pytest.raises(TruncationError, match="sub-Poissonian"):
+        coherent(12, 40)
+
+
+def test_accepted_cutoffs_keep_the_law_eta_within_the_tail_tolerance():
+    # the refusal rule multiplies, so a mean whose square underflows is kept
+    assert coherent(1e-160, 40).mean == pytest.approx(1e-160)
+    assert eta(coherent(0.5, 12)) == pytest.approx(7.1e-12, rel=0.01)
+    assert eta(squeezed_vacuum(0.8, 60)) == pytest.approx(-2.0 - 1.0 / np.sinh(0.8) ** 2, abs=1e-8)
+    assert squeezed_vacuum(1e-200, 4).mean == 0.0
+
+
 # ---------------------------------------------------------------- eta / sub-poissonian
 
 
