@@ -89,12 +89,11 @@ def read_shot_records(
     without one, at commas if the first line has any, else at whitespace.
 
     ``lines`` may be a path (a ``str`` is always a path, never record text)
-    or an iterable of lines; a byte-order mark that opens the first line is
-    skipped. An optional first line of non-numeric labels is
-    a header and fixes the detector count; a line of labels anywhere else is
-    rejected. Shots with a wrong column count or
-    unparseable, negative, or non-finite values are rejected rather than
-    imputed; the rejected count is returned alongside the accepted records.
+    or an iterable of lines; a byte-order mark opening the first line is
+    skipped. An optional first line of non-numeric labels is a header and
+    fixes the detector count; a line of labels anywhere else is rejected.
+    Shots with a wrong column count or unparseable, negative or non-finite
+    values are rejected, not imputed; the rejected count is returned too.
     """
     if isinstance(lines, (str, os.PathLike)):
         with open(lines, encoding="utf-8") as fh:

@@ -68,7 +68,7 @@ class QuantumSetup:
         """Per-port mean photon number <n> and number weight var - <n>, negative
         exactly for sub-Poissonian statistics: the term that beats the classical bound."""
         nbar = np.array([q.mean for q in self.stats])
-        return nbar, np.array([q.variance for q in self.stats]) - nbar
+        return nbar, np.array([q.number_weight for q in self.stats])
 
 
 quantum_gbar = classical_gbar

@@ -78,14 +78,20 @@ class PhotonStatistics:
     def variance(self) -> float:
         return self.second_moment - self.mean**2
 
+    @property
+    def number_weight(self) -> float:
+        """variance - mean as sum n(n-1) q_n - mean^2, accurate to eps * mean^2."""
+        n = np.arange(self.pmf.size)
+        return float((n * (n - 1)) @ self.pmf) - self.mean**2
 
-def _renormalized(pmf: np.ndarray, what: str, eta_law: float) -> PhotonStatistics:
-    """``pmf``, a law of eta ``eta_law`` cut off, rescaled to sum to one. The
-    cutoff is refused unless the dropped tail is within ``TAIL_TOL`` and
-    mean - variance <= (max(eta_law, 0) + TAIL_TOL) mean^2: rescaling lowers
-    the variance against the mean, so a truncated laser or lamp could pass
-    for sub-Poissonian light (at cutoff 1 its eta is 1). The rule multiplies
-    rather than divides, so a mean whose square underflows is kept."""
+
+def _renormalized(pmf: np.ndarray, what: str) -> PhotonStatistics:
+    """``pmf``, a law cut off, rescaled to sum to one. The cutoff is refused
+    unless the dropped tail and the rescaled law's eta are within ``TAIL_TOL``:
+    rescaling lowers the variance against the mean, so a truncated laser or
+    lamp could pass for sub-Poissonian light (at cutoff 1 its eta is 1).
+    A subnormal mean^2 has no precision to judge and is kept (the engines
+    refuse such light)."""
     tail = 1.0 - pmf.sum()
     if tail > TAIL_TOL:
         raise TruncationError(
@@ -93,10 +99,10 @@ def _renormalized(pmf: np.ndarray, what: str, eta_law: float) -> PhotonStatistic
             " increase the cutoff"
         )
     stats = PhotonStatistics(pmf / pmf.sum())
-    if stats.mean - stats.variance > (max(eta_law, 0.0) + TAIL_TOL) * stats.mean**2:
+    if stats.mean**2 >= np.finfo(float).tiny and eta(stats) > TAIL_TOL:
         raise TruncationError(
             f"{what}: cutoff {pmf.size - 1} makes the law look sub-Poissonian (eta"
-            f" {eta(stats):.3e}, untruncated {eta_law:.6g}); increase the cutoff"
+            f" {eta(stats):.3e} > {TAIL_TOL:g}); increase the cutoff"
         )
     return stats
 
@@ -119,7 +125,7 @@ def coherent(mean: float, cutoff: int) -> PhotonStatistics:
     n = np.arange(cutoff + 1)
     log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, cutoff + 1)))))
     pmf = np.exp(-mean + n * np.log(mean) - log_factorial)
-    return _renormalized(pmf, f"coherent(mean={mean})", 0.0)
+    return _renormalized(pmf, f"coherent(mean={mean})")
 
 
 def thermal(mean: float, cutoff: int) -> PhotonStatistics:
@@ -131,7 +137,7 @@ def thermal(mean: float, cutoff: int) -> PhotonStatistics:
     ratio = mean / (1.0 + mean)
     n = np.arange(cutoff + 1)
     pmf = (1.0 - ratio) * ratio**n
-    return _renormalized(pmf, f"thermal(mean={mean})", -1.0)
+    return _renormalized(pmf, f"thermal(mean={mean})")
 
 
 def squeezed_vacuum(r: float, cutoff: int) -> PhotonStatistics:
@@ -146,14 +152,10 @@ def squeezed_vacuum(r: float, cutoff: int) -> PhotonStatistics:
     pmf = np.zeros(cutoff + 1)
     term = 1.0 / np.cosh(r)
     tanh2 = np.tanh(r) ** 2
-    k = 0
-    while 2 * k <= cutoff:
+    for k in range(cutoff // 2 + 1):
         pmf[2 * k] = term
         term *= tanh2 * (2 * k + 1) / (2 * k + 2)
-        k += 1
-    with np.errstate(divide="ignore"):  # -inf once sinh(r)^2 underflows
-        eta_law = -2.0 - 1.0 / np.sinh(r) ** 2
-    return _renormalized(pmf, f"squeezed_vacuum(r={r})", eta_law)
+    return _renormalized(pmf, f"squeezed_vacuum(r={r})")
 
 
 def eta(stats: PhotonStatistics) -> float:
@@ -166,7 +168,7 @@ def eta(stats: PhotonStatistics) -> float:
     mean = stats.mean
     if mean <= 0:
         raise UndefinedEtaError("eta is undefined for vacuum (zero mean)")
-    return (mean - stats.variance) / mean**2
+    return -stats.number_weight / mean**2
 
 
 # Keeps exactly-Poissonian inputs, whose variance equals their mean, on the
