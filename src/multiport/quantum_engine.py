@@ -74,19 +74,18 @@ class QuantumSetup:
 quantum_gbar = classical_gbar
 
 
-def _lowered_norms(occ: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lowered_norms(occ: np.ndarray, rows: np.ndarray, pairs, modes) -> tuple[np.ndarray, np.ndarray]:
     """Squared norms (K, D) of b_i|occ> and (K, D(D-1)/2) of b_i b_j|occ>, i < j.
 
     ``occ`` is a (K, m) block of occupations, ``rows`` the (D, m) monitored
-    rows of U: b_i = sum_a U_ia a_a. With x_ia = U_ia sqrt(n_a), b_i|occ> has
-    amplitude x_ia on |occ - e_a>; b_i b_j|occ> has x_ja x_ib + x_jb x_ia on
-    |occ - e_a - e_b> for a < b, which both lowering orders reach, and
-    U_ia U_ja sqrt(n_a (n_a - 1)) on |occ - 2 e_a>.
+    rows of U: b_i = sum_a U_ia a_a; ``pairs`` and ``modes`` index i < j and
+    a < b. With x_ia = U_ia sqrt(n_a), b_i|occ> has amplitude x_ia on |occ - e_a>;
+    b_i b_j|occ> has x_ja x_ib + x_jb x_ia on |occ - e_a - e_b> for a < b,
+    which both lowering orders reach, and U_ia U_ja sqrt(n_a (n_a - 1)) on |occ - 2 e_a>.
     """
+    (i, j), (a, b) = pairs, modes
     n = occ.astype(float)
     x = rows * np.sqrt(n)[:, None, :]
-    i, j = np.triu_indices(rows.shape[0], 1)
-    a, b = np.triu_indices(rows.shape[1], 1)
     xi, xj = x[:, i], x[:, j]
     apart = xj[..., a] * xi[..., b] + xj[..., b] * xi[..., a]
     together = (rows[i] * rows[j]) * np.sqrt(n * (n - 1))[:, None, :]
@@ -147,7 +146,7 @@ def oracle_gbar(
     receiving light, it raises :class:`OracleLimitError` naming ``prune_tol``.
     """
     det, m = setup.detectors, setup.n_modes
-    upper = np.triu_indices(len(det), 1)
+    upper, modes = np.triu_indices(len(det), 1), np.triu_indices(m, 1)
     means, products, pruned, kept = np.zeros(len(det)), np.zeros((len(det),) * 2), 0.0, 0
     block_rows = max(1, ORACLE_BLOCK_BYTES // (16 * upper[0].size * m * (m + 1) // 2))
     for occ, probs, mass in _product_blocks([q.pmf for q in setup.stats], prune_tol, block_rows):
@@ -157,7 +156,7 @@ def oracle_gbar(
                 f"configuration {tuple(int(n) for n in occ[over[0]])} exceeds the oracle"
                 f" budget of {photon_limit} photons; raise photon_limit or lower the source cutoffs"
             )
-        block_means, block_pairs = _lowered_norms(occ, setup.transfer)
+        block_means, block_pairs = _lowered_norms(occ, setup.transfer, upper, modes)
         means += probs @ block_means
         products[upper] += probs @ block_pairs
         pruned += mass

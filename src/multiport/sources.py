@@ -9,7 +9,9 @@ independent uniform phase in [0, 2*pi).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -68,15 +70,6 @@ class PhotonStatistics:
     def mean(self) -> float:
         n = np.arange(self.pmf.size)
         return float(n @ self.pmf)
-
-    @property
-    def second_moment(self) -> float:
-        n = np.arange(self.pmf.size)
-        return float((n * n) @ self.pmf)
-
-    @property
-    def variance(self) -> float:
-        return self.second_moment - self.mean**2
 
     @property
     def number_weight(self) -> float:
@@ -171,14 +164,10 @@ def eta(stats: PhotonStatistics) -> float:
     return -stats.number_weight / mean**2
 
 
-# Keeps exactly-Poissonian inputs, whose variance equals their mean, on the
-# satisfied side of the non-strict boundary despite floating-point noise.
-_BOUNDARY_TOL = 1e-12
-
-
 def is_sub_poissonian(stats: PhotonStatistics) -> bool:
-    """True when the variance does not exceed the mean (non-strict)."""
-    return stats.variance <= stats.mean + _BOUNDARY_TOL * max(1.0, stats.second_moment)
+    """True when eta >= 0 within ``TAIL_TOL``, the band an accepted cutoff may
+    add, read on the factorial moment: vacuum, Fock and coherent laws are."""
+    return stats.number_weight <= TAIL_TOL * stats.mean**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,19 +199,31 @@ def fixed_source(amplitude: float) -> ClassicalSource:
     return ClassicalSource(np.array([1.0]), np.array([float(amplitude)]))
 
 
+# The most Gauss-Laguerre levels whose float64 weights are all finite.
+MAX_LEVELS = 186
+
+
+@cache
+def _laguerre_rule(levels: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.laguerre.laggauss(levels)  # built once per count, read-only
+    return _frozen(nodes), _frozen(weights / weights.sum())
+
+
 def pseudo_thermal_source(mean_intensity: float, levels: int = 32) -> ClassicalSource:
     """Discretization of the exponential-intensity (pseudo-thermal) law.
 
     Gauss-Laguerre nodes and weights represent p(I) = exp(-I/mean)/mean, so
     low-order intensity moments match the continuous law to machine precision
-    (in particular <I^2> = 2 <I>^2).
+    (in particular <I^2> = 2 <I>^2). At most ``MAX_LEVELS`` levels.
     """
     if mean_intensity < 0:
         raise InvalidStatisticsError("mean intensity must be >= 0")
     if levels < 2:
         raise InvalidStatisticsError("need at least 2 quadrature levels")
-    nodes, weights = np.polynomial.laguerre.laggauss(levels)
-    return ClassicalSource(weights / weights.sum(), np.sqrt(mean_intensity * nodes))
+    if levels > MAX_LEVELS:
+        raise InvalidStatisticsError(f"{levels} levels exceed {MAX_LEVELS}, the most with finite weights")
+    nodes, weights = _laguerre_rule(operator.index(levels))  # 32.0 must not hit 32's entry
+    return ClassicalSource(weights, np.sqrt(mean_intensity * nodes))
 
 
 def classical_moments(source: ClassicalSource) -> tuple[float, float]:

@@ -655,6 +655,23 @@ def test_overflowing_intensity_mean_prints_one_error_line(tmp_path):
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
 
 
+def test_unrepresentable_levels_exit_3_in_one_line(tmp_path):
+    # numpy's quadrature overflows past 186 levels: before, three RuntimeWarnings
+    # reached stderr ahead of a complaint about non-finite probabilities
+    config = write_config(tmp_path, {
+        "mode": "classical-analytic",
+        "interferometer": {"ftm": 2},
+        "sources": [{"kind": "pseudo-thermal", "mean_intensity": 1, "levels": 300}] * 2,
+    })
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "multiport", "--config", config],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_DIMENSION
+    assert proc.stderr == "dimension error: 300 levels exceed 186, the most with finite weights\n"
+
+
 @pytest.mark.parametrize(
     "mode,amplitude,extra",
     [("classical-mc", 1e160, {"shots": 2000}), ("classical-analytic", 1e80, {})],

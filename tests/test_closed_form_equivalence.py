@@ -33,7 +33,7 @@ def reference_classical_pair(setup, i, j):
 
 def reference_quantum_pair(setup, i, j):
     nbar = np.array([q.mean for q in setup.stats])
-    var = np.array([q.variance for q in setup.stats])
+    var = np.array([(np.arange(q.pmf.size) - q.mean) ** 2 @ q.pmf for q in setup.stats])
     u, e = setup.unitary.matrix, setup.energy_scale
     mean_i = e * float(np.abs(u[i]) ** 2 @ nbar)
     mean_j = e * float(np.abs(u[j]) ** 2 @ nbar)

@@ -432,8 +432,9 @@ def test_kernel_matches_reference_on_every_small_fock_state(m):
         u = random_unitary(m, 500 + 10 * m + trial).matrix
         size = m if trial == 0 else int(rng.integers(2, m + 1))
         det = tuple(int(d) for d in rng.permutation(m)[:size])
-        means, pairs = quantum_engine._lowered_norms(block, u[list(det)])
         i, j = np.triu_indices(len(det), 1)
+        modes = np.triu_indices(m, 1)
+        means, pairs = quantum_engine._lowered_norms(block, u[list(det)], (i, j), modes)
         for k, occ in enumerate(occupations):
             ref_means = [reference_mean(u, occ, d) for d in det]
             ref_pairs = [reference_pair(u, occ, det[a], det[b]) for a, b in zip(i, j)]

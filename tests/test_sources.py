@@ -1,5 +1,10 @@
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import multiport.cli as cli
 from multiport import (
@@ -21,6 +26,7 @@ from multiport import (
     squeezed_vacuum,
     thermal,
 )
+from multiport.sources import TAIL_TOL
 
 
 def summed_moments(stats):
@@ -215,7 +221,52 @@ def test_sub_poissonian_iff_eta_nonnegative(rng):
         q = PhotonStatistics(rng.dirichlet(np.ones(size)))
         if q.mean == 0:
             continue
-        assert is_sub_poissonian(q) == (eta(q) >= 0)
+        assert is_sub_poissonian(q) == (eta(q) >= -TAIL_TOL)
+
+
+# the smallest mean whose square is a normal float
+NORMAL_MEAN = math.sqrt(np.finfo(float).tiny)
+LAWS = {
+    "coherent": (coherent, 15.0),
+    "thermal": (thermal, 15.0),
+    # squeezed vacuum takes r, of mean sinh(r)^2
+    "squeezed": (lambda mean, cutoff: squeezed_vacuum(math.asinh(math.sqrt(mean)), cutoff), 4.0),
+}
+
+
+def accepts(law, mean, cutoff):
+    try:
+        law(mean, cutoff)
+    except TruncationError:
+        return False
+    return True
+
+
+@st.composite
+def accepted_laws(draw):
+    """(name, law): a Fock law, or a coherent, thermal or squeezed law of mean
+    from NORMAL_MEAN up to its top, at its smallest accepted cutoff or above."""
+    name = draw(st.sampled_from(["fock", *sorted(LAWS)]))
+    if name == "fock":
+        return name, fock(draw(st.integers(0, 30)))
+    law, top = LAWS[name]
+    mean = NORMAL_MEAN * (top / NORMAL_MEAN) ** draw(st.floats(0, 1))
+    cutoff = next(c for c in itertools.count() if accepts(law, mean, c)) + draw(st.integers(0, 30))
+    assume(accepts(law, mean, cutoff))
+    return name, law(mean, cutoff)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(accepted_laws())
+@example(("thermal", thermal(1e-7, 40)))
+@example(("thermal", thermal(1e-6, 40)))
+def test_only_coherent_and_fock_laws_are_sub_poissonian(named):
+    # eta is -1 for thermal light at every mean; a tolerance on variance - mean
+    # in absolute terms called weak lamps sub-Poissonian. Cutoff 0 may leave
+    # weak light as vacuum, which is Fock 0.
+    name, q = named
+    expected = name in ("coherent", "fock") or q.mean == 0
+    assert is_sub_poissonian(q) == expected, (name, q.mean, q.cutoff)
 
 
 def test_pmf_validation():
@@ -250,6 +301,36 @@ def test_pseudo_thermal_matches_exponential_quadrature():
     assert m2 == pytest.approx(ref2, rel=1e-9)
     assert m4 == pytest.approx(ref4, rel=1e-9)
     assert m4 == pytest.approx(2 * m2**2, rel=1e-12)
+
+
+def test_pseudo_thermal_levels_stop_at_the_last_finite_quadrature():
+    assert pseudo_thermal_source(1.0, 186).probabilities.size == 186
+    with np.errstate(all="ignore"):
+        assert not np.all(np.isfinite(np.polynomial.laguerre.laggauss(187)[1]))
+
+
+def no_quadrature(deg):
+    raise AssertionError(f"laggauss({deg}) called")
+
+
+@pytest.mark.parametrize("levels", [187, 10**9])
+def test_unrepresentable_levels_are_refused_before_the_quadrature(monkeypatch, levels):
+    # 10**9 levels would ask numpy for a 10**9 x 10**9 companion matrix first
+    monkeypatch.setattr(np.polynomial.laguerre, "laggauss", no_quadrature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidStatisticsError, match="exceed 186"):
+            pseudo_thermal_source(1.0, levels)
+
+
+def test_a_pseudo_thermal_rule_is_built_once_per_level_count(monkeypatch):
+    first = pseudo_thermal_source(0.5, 7)
+    monkeypatch.setattr(np.polynomial.laguerre, "laggauss", no_quadrature)
+    second = pseudo_thermal_source(2.0, 7)
+    assert np.array_equal(first.probabilities, second.probabilities)
+    assert np.allclose(second.amplitudes**2, 4 * first.amplitudes**2, rtol=1e-15, atol=0)
+    with pytest.raises(TypeError):
+        pseudo_thermal_source(1.0, 7.0)  # a float count is refused, not read from 7's entry
 
 
 def test_classical_fourth_moment_cauchy_schwarz(rng):
