@@ -12,21 +12,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
 
-from .errors import DimensionError, InvalidStatisticsError, PreconditionError
+from .errors import DimensionError, InvalidStatisticsError, PreconditionError, check_integer
 from .report import CorrelationReport
 from .sources import TAIL_TOL
 
 # Certification requires the margin to exceed this many standard errors when
-# an uncertainty is supplied; the one rule, not a parameter.
+# the stderr comes without a batch count. With b batches, margin / stderr at
+# the bound is Student-t with b - 1 degrees of freedom, so the rule becomes the
+# t critical value at the same one-sided tail: 3.447 at 20 batches, 3.078 at 100.
 SIGMA_RULE = 3.0
+T_TAIL = 0.5 * math.erfc(SIGMA_RULE / math.sqrt(2))
+# More degrees of freedom read this many's critical value, 3.0075 (the limit is 3).
+T_MAX_DF = 1000
 
 # A verdict whose stderr is a batch-means estimate certifies only when it rests
-# on at least this many batches. With b batches, margin / stderr at the bound
-# is Student-t with b - 1 degrees of freedom, whose tail beyond 3 is heavier
-# than the normal one the sigma rule assumes: 0.75% at df = 9 and 0.37% at
-# df = 19, against 0.135%. Below 20 batches false certificates at the bound
-# grow quickly (2.0% at df = 4, 4.8% at df = 2).
+# on at least this many batches, however large its margin: below 20 batches
+# the stderr itself is too uncertain to rest a certificate on.
 MIN_CERTIFY_BATCHES = 20
 
 # Margins within this absolute epsilon count as boundary values, which are
@@ -49,6 +52,7 @@ def classical_min(n_sources: int, n_detectors: int) -> float:
     Fourier-transform interferometer (which ignores the surplus sources when
     N > M).
     """
+    n_sources, n_detectors = check_integer(n_sources, "n_sources"), check_integer(n_detectors, "n_detectors")
     if n_detectors < 2:
         raise DimensionError("the pair average needs at least 2 detectors")
     if n_sources < 1:
@@ -59,6 +63,8 @@ def classical_min(n_sources: int, n_detectors: int) -> float:
 
 
 def _check_eta(eta: float) -> None:
+    if not math.isfinite(eta):
+        raise InvalidStatisticsError(f"eta must be finite, got {eta!r}")
     if eta > 1.0:
         raise InvalidStatisticsError(
             f"eta = {eta!r} > 1 is impossible for integer photon numbers"
@@ -70,6 +76,7 @@ def symmetric_quantum_min(n_detectors: int, eta: float) -> float:
     1 - (1 + eta)/M, reached on the M-mode Fourier interferometer. It is the
     minimum over interferometers only for eta >= 0: super-Poissonian inputs
     go below it on other unitaries."""
+    n_detectors = check_integer(n_detectors, "n_detectors")
     if n_detectors < 2:
         raise DimensionError("the pair average needs at least 2 detectors")
     _check_eta(eta)
@@ -80,6 +87,7 @@ def divisibility_threshold(n_modes: int, eta: float) -> float:
     """Minimum pair average for an interferometer split into two independent
     blocks, fed with m identical inputs of the given eta and fully monitored:
     1 - (1 + eta)(m-2)/(m(m-1))."""
+    n_modes = check_integer(n_modes, "n_modes")
     if n_modes < 2:
         raise DimensionError("divisibility needs at least 2 modes")
     _check_eta(eta)
@@ -92,7 +100,9 @@ class WitnessVerdict:
 
     ``margin`` is threshold - gbar; positive margin means the threshold is
     violated. A certifying classification additionally requires the margin to
-    clear ``SIGMA_RULE`` standard errors when a standard error is present.
+    clear the Student-t critical value for ``batches - 1`` degrees of freedom
+    in standard errors when a standard error and its batch count are present,
+    and ``SIGMA_RULE`` standard errors when the batch count is unknown.
     """
 
     gbar: float
@@ -112,6 +122,31 @@ class WitnessVerdict:
         return f"{self.classification}: {detail}, margin={self.margin:.6g}"
 
 
+def student_t_two_sided(t: float, df: int) -> float:
+    """P(|T| > t) for Student's t with df degrees of freedom, from the finite
+    series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df) in
+    the powers df % 2, df % 2 + 2, .., df - 2 of cos theta."""
+    theta = math.atan(t / math.sqrt(df))
+    term, series = math.cos(theta) ** (df % 2), 0.0
+    for k in range(df % 2, df - 1, 2):
+        series += term
+        term *= math.cos(theta) ** 2 * (k + 1) / (k + 2)
+    if df % 2:
+        return 1 - 2 / math.pi * (theta + math.sin(theta) * series)
+    return 1 - math.sin(theta) * series
+
+
+@cache
+def _t_critical(df: int) -> float:
+    """The t with P(T > t) = ``T_TAIL`` at df degrees of freedom, bisected above ``SIGMA_RULE``."""
+    low, high = SIGMA_RULE, 2 * SIGMA_RULE
+    while student_t_two_sided(high, df) > 2 * T_TAIL:
+        low, high = high, 2 * high
+    while low < (mid := (low + high) / 2) < high:
+        low, high = (mid, high) if student_t_two_sided(mid, df) > 2 * T_TAIL else (low, mid)
+    return high
+
+
 def _verdict(
     gbar: float | CorrelationReport,
     threshold: float,
@@ -129,25 +164,25 @@ def _verdict(
         if n_detectors != active:
             raise PreconditionError(f"the report has {active} active detectors, not {n_detectors}")
         gbar, stderr, batches, pruned_mass = gbar.gbar, gbar.stderr, gbar.batches, gbar.pruned_mass
-    # a negative stderr would shrink the sigma rule's band to BOUNDARY_MARGIN
+    # a negative stderr would shrink the rule's band to BOUNDARY_MARGIN
     if not math.isfinite(gbar) or (stderr is not None and not 0 <= stderr < math.inf):
         raise PreconditionError(f"a verdict needs a finite gbar and stderr >= 0, got {gbar}, {stderr}")
     margin = threshold - gbar
-    sigmas = None
-    if stderr is None:
-        classification = certified if margin > BOUNDARY_MARGIN else CLASSICAL_COMPATIBLE
-    else:
-        if stderr > 0:
-            sigmas = margin / stderr
-        if abs(margin) <= max(SIGMA_RULE * stderr, BOUNDARY_MARGIN):
-            classification = INCONCLUSIVE
-        elif margin > 0:
-            classification = certified
-        else:
-            classification = CLASSICAL_COMPATIBLE
-    # a stderr from few batches is itself too uncertain for the sigma rule, and
+    sigmas = margin / stderr if stderr else None
+    few = batches is not None and check_integer(batches, "batches") < MIN_CERTIFY_BATCHES
+    band = BOUNDARY_MARGIN
+    if stderr is not None and not few:
+        rule = SIGMA_RULE if batches is None else _t_critical(min(batches - 1, T_MAX_DF))
+        band = max(rule * stderr, BOUNDARY_MARGIN)
+    # a stderr from few batches is itself too uncertain for the t rule, and
     # a pruned enumeration is biased by an amount no stderr measures
-    if (batches is not None and batches < MIN_CERTIFY_BATCHES) or pruned_mass:
+    if few or pruned_mass:
+        classification = INCONCLUSIVE
+    elif margin > band:
+        classification = certified
+    elif margin < -band or stderr is None:
+        classification = CLASSICAL_COMPATIBLE
+    else:
         classification = INCONCLUSIVE
     return WitnessVerdict(
         gbar=gbar,
@@ -197,9 +232,9 @@ def divisibility_witness(
     into two independent subblocks. A report as ``gbar`` and ``batches`` act
     as in :func:`nonclassicality_witness`, with ``n_modes`` active detectors.
     """
+    threshold = divisibility_threshold(n_modes, eta)
     if eta < 0:
         raise PreconditionError(
             "the divisibility criterion is stated for sub-Poissonian inputs (eta >= 0)"
         )
-    threshold = divisibility_threshold(n_modes, eta)
     return _verdict(gbar, threshold, stderr, INDIVISIBLE, batches, n_modes)

@@ -70,6 +70,7 @@ def ftm(m: int) -> UnitaryMatrix:
     Entry (j, a), 1-based, is exp(2*pi*i*(j-1)*(a-1)/m)/sqrt(m): every input
     is split evenly over all outputs with phases spread uniformly over 2*pi.
     """
+    m = check_integer(m, "m")
     if m < 1:
         raise DimensionError("Fourier-transform matrix needs m >= 1")
     k = np.arange(m)

@@ -116,6 +116,7 @@ def optimal_configuration(n_sources: int, n_detectors: int) -> PsiConfiguration:
     otherwise: Fourier phases spread evenly over the circle, with surplus
     sources (a >= M when N > M) ignored entirely.
     """
+    n_sources, n_detectors = check_integer(n_sources, "n_sources"), check_integer(n_detectors, "n_detectors")
     if n_detectors < 2:
         raise DimensionError("need at least 2 detectors")
     if n_sources < 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_engine import classical_gbar
-from .errors import DegenerateSetupError, DimensionError, OracleLimitError
+from .errors import DegenerateSetupError, DimensionError, OracleLimitError, check_integer
 from .interferometer import UnitaryMatrix, as_complex_matrix
 from .report import CorrelationReport, active_positions, assemble_report
 from .sources import PhotonStatistics
@@ -145,6 +145,7 @@ def oracle_gbar(
     pruning leaves fewer than two of the detectors that the setup lights
     receiving light, it raises :class:`OracleLimitError` naming ``prune_tol``.
     """
+    photon_limit = check_integer(photon_limit, "photon_limit")
     det, m = setup.detectors, setup.n_modes
     upper, modes = np.triu_indices(len(det), 1), np.triu_indices(m, 1)
     means, products, pruned, kept = np.zeros(len(det)), np.zeros((len(det),) * 2), 0.0, 0

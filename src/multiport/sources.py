@@ -9,7 +9,6 @@ independent uniform phase in [0, 2*pi).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache
 
@@ -20,6 +19,7 @@ from .errors import (
     MatrixValidationError,
     TruncationError,
     UndefinedEtaError,
+    check_integer,
 )
 
 # Constructors refuse to drop more tail probability, or add more eta, than this.
@@ -102,6 +102,7 @@ def _renormalized(pmf: np.ndarray, what: str) -> PhotonStatistics:
 
 def fock(n: int) -> PhotonStatistics:
     """Number state with exactly ``n`` photons."""
+    n = check_integer(n, "n")
     if n < 0:
         raise InvalidStatisticsError("photon number must be >= 0")
     pmf = np.zeros(n + 1)
@@ -111,6 +112,7 @@ def fock(n: int) -> PhotonStatistics:
 
 def coherent(mean: float, cutoff: int) -> PhotonStatistics:
     """Phase-averaged coherent state: Poisson statistics with the given mean."""
+    cutoff = check_integer(cutoff, "cutoff")
     if mean < 0:
         raise InvalidStatisticsError("coherent mean must be >= 0")
     if mean == 0:
@@ -123,6 +125,7 @@ def coherent(mean: float, cutoff: int) -> PhotonStatistics:
 
 def thermal(mean: float, cutoff: int) -> PhotonStatistics:
     """Thermal (Bose-Einstein) statistics: p(n) proportional to (mean/(1+mean))^n."""
+    cutoff = check_integer(cutoff, "cutoff")
     if mean < 0:
         raise InvalidStatisticsError("thermal mean must be >= 0")
     if mean == 0:
@@ -138,6 +141,7 @@ def squeezed_vacuum(r: float, cutoff: int) -> PhotonStatistics:
 
     p(2k) = tanh(r)^(2k) (2k)! / (4^k (k!)^2 cosh(r)).
     """
+    cutoff = check_integer(cutoff, "cutoff")
     if r < 0:
         raise InvalidStatisticsError("squeezing parameter must be >= 0")
     if r == 0:
@@ -216,13 +220,14 @@ def pseudo_thermal_source(mean_intensity: float, levels: int = 32) -> ClassicalS
     low-order intensity moments match the continuous law to machine precision
     (in particular <I^2> = 2 <I>^2). At most ``MAX_LEVELS`` levels.
     """
+    levels = check_integer(levels, "levels")  # 32.0 must not hit 32's cache entry
     if mean_intensity < 0:
         raise InvalidStatisticsError("mean intensity must be >= 0")
     if levels < 2:
         raise InvalidStatisticsError("need at least 2 quadrature levels")
     if levels > MAX_LEVELS:
         raise InvalidStatisticsError(f"{levels} levels exceed {MAX_LEVELS}, the most with finite weights")
-    nodes, weights = _laguerre_rule(operator.index(levels))  # 32.0 must not hit 32's entry
+    nodes, weights = _laguerre_rule(levels)
     return ClassicalSource(weights, np.sqrt(mean_intensity * nodes))
 
 

@@ -1,3 +1,6 @@
+import pickle
+
+import numpy as np
 import pytest
 
 from multiport import (
@@ -12,13 +15,65 @@ from multiport import (
     divisibility_witness,
     eta,
     fixed_source,
+    fock,
     ftm,
     mc_estimate_gbar,
     nonclassicality_witness,
+    optimal_configuration,
     oracle_gbar,
+    pseudo_thermal_source,
+    squeezed_vacuum,
     symmetric_quantum_min,
+    thermal,
 )
-from multiport.bounds import BOUNDARY_MARGIN, MIN_CERTIFY_BATCHES
+from multiport.bounds import BOUNDARY_MARGIN, MIN_CERTIFY_BATCHES, T_TAIL, _t_critical
+
+
+# ----------------------------------------------------------- counts
+
+# Every public count of the library, as (function, arguments, the count's name).
+COUNTS = [
+    (ftm, {"m": 3}, "m"),
+    (fock, {"n": 2}, "n"),
+    (coherent, {"mean": 0.5, "cutoff": 40}, "cutoff"),
+    (thermal, {"mean": 0.5, "cutoff": 80}, "cutoff"),
+    (squeezed_vacuum, {"r": 0.3, "cutoff": 60}, "cutoff"),
+    (pseudo_thermal_source, {"mean_intensity": 1.0, "levels": 8}, "levels"),
+    (oracle_gbar, {"setup": QuantumSetup(ftm(2), (fock(1), fock(1))), "photon_limit": 4}, "photon_limit"),
+    (optimal_configuration, {"n_sources": 2, "n_detectors": 3}, "n_sources"),
+    (optimal_configuration, {"n_sources": 2, "n_detectors": 3}, "n_detectors"),
+    (classical_min, {"n_sources": 2, "n_detectors": 3}, "n_sources"),
+    (classical_min, {"n_sources": 2, "n_detectors": 3}, "n_detectors"),
+    (symmetric_quantum_min, {"n_detectors": 3, "eta": 0.5}, "n_detectors"),
+    (divisibility_threshold, {"n_modes": 4, "eta": 0.5}, "n_modes"),
+    (nonclassicality_witness, {"gbar": 0.3, "n_sources": 2, "n_detectors": 3}, "n_sources"),
+    (nonclassicality_witness, {"gbar": 0.3, "n_sources": 2, "n_detectors": 3}, "n_detectors"),
+    (divisibility_witness, {"gbar": 0.5, "n_modes": 4, "eta": 1.0}, "n_modes"),
+]
+COUNT_IDS = [f"{function.__name__}-{name}" for function, _, name in COUNTS]
+
+
+@pytest.mark.parametrize("function, arguments, name", COUNTS, ids=COUNT_IDS)
+@pytest.mark.parametrize("count", [True, 2.0, 2.5, "2", None])
+def test_a_count_is_an_integer_and_never_a_bool_or_float(function, arguments, name, count):
+    # numpy coerced these: nonclassicality_witness(0.55, 1.5, 2) certified
+    # against a threshold no whole number of sources gives, and ftm(True)
+    # built a 1-mode interferometer
+    with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
+        function(**{**arguments, name: count})
+
+
+@pytest.mark.parametrize("function, arguments, name", COUNTS, ids=COUNT_IDS)
+def test_a_numpy_integer_count_gives_the_same_result(function, arguments, name):
+    numpy_count = function(**{**arguments, name: np.int64(arguments[name])})
+    assert pickle.dumps(numpy_count) == pickle.dumps(function(**arguments))
+
+
+def test_a_fractional_source_count_never_certifies():
+    # N = 1.5 read as the threshold 0.667, which 0.55 is below; N = 2 gives 0.5
+    with pytest.raises(PreconditionError, match="n_sources must be an integer"):
+        nonclassicality_witness(0.55, 1.5, 2)
+    assert nonclassicality_witness(0.55, 2, 2).classification == "classical-compatible"
 
 
 # ----------------------------------------------------------- classical bound
@@ -104,6 +159,23 @@ def test_divisibility_threshold_validation():
         divisibility_threshold(1, 0.5)
     with pytest.raises(InvalidStatisticsError):
         divisibility_threshold(4, 1.2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "threshold",
+    [
+        lambda eta: symmetric_quantum_min(4, eta),
+        lambda eta: divisibility_threshold(4, eta),
+        lambda eta: divisibility_witness(0.5, 4, eta),
+    ],
+    ids=["symmetric_quantum_min", "divisibility_threshold", "divisibility_witness"],
+)
+def test_a_non_finite_eta_is_refused(threshold, value):
+    # divisibility_witness(0.5, 4, nan) was classical-compatible with a NaN
+    # threshold, and symmetric_quantum_min(4, -inf) was inf
+    with pytest.raises(InvalidStatisticsError, match="eta must be finite"):
+        threshold(value)
 
 
 # ----------------------------------------------------------- witnesses
@@ -202,14 +274,47 @@ def test_enough_batches_certify(batches):
 @pytest.mark.parametrize("batches", [None, MIN_CERTIFY_BATCHES])
 @pytest.mark.parametrize("sigmas,expected", [(2.95, "inconclusive"), (3.05, "certified")])
 def test_the_sigma_rule_at_its_edge(batches, sigmas, expected):
-    # a rule of 2.9 or 3.1 standard errors flips one of these verdicts
-    stderr = 0.01
-    verdict = nonclassicality_witness(0.5 - sigmas * stderr, 2, 2, stderr=stderr, batches=batches)
+    # the margin sits sigmas / 3 of the way to the rule: 3 standard errors
+    # without a batch count, t(19) = 3.4472 with 20 batches; a rule 2% off
+    # flips one of these verdicts
+    stderr, rule = 0.01, 3.0 if batches is None else 3.4472
+    margin = sigmas / 3.0 * rule * stderr
+    verdict = nonclassicality_witness(0.5 - margin, 2, 2, stderr=stderr, batches=batches)
     assert verdict.classification == {"certified": "nonclassical"}.get(expected, expected)
-    assert verdict.confidence_sigmas == pytest.approx(sigmas, abs=1e-9)
+    assert verdict.confidence_sigmas == pytest.approx(margin / stderr, abs=1e-9)
     threshold = divisibility_threshold(4, 1.0)
-    verdict = divisibility_witness(threshold - sigmas * stderr, 4, 1.0, stderr=stderr, batches=batches)
+    verdict = divisibility_witness(threshold - margin, 4, 1.0, stderr=stderr, batches=batches)
     assert verdict.classification == {"certified": "indivisible-certified"}.get(expected, expected)
+
+
+@pytest.mark.parametrize(
+    "batches, sigmas, expected",
+    [(20, 3.2, "inconclusive"), (100, 3.05, "inconclusive"), (100, 3.1, "nonclassical"),
+     (1000, 3.2, "nonclassical"), (10**6, 3.005, "inconclusive"), (10**6, 3.01, "nonclassical")],
+)
+def test_a_batch_count_reads_the_student_t_rule(batches, sigmas, expected):
+    # 3.2 standard errors certified at 20 batches, where margin / stderr at
+    # the bound exceeds 3 at 0.37%; t(99) = 3.078, and above 1,000 degrees
+    # of freedom t(1000) = 3.0075 holds
+    verdict = nonclassicality_witness(0.5 - sigmas * 0.01, 2, 2, stderr=0.01, batches=batches)
+    assert verdict.classification == expected
+    verdict = divisibility_witness(2 / 3 - sigmas * 0.01, 4, 1.0, stderr=0.01, batches=batches)
+    assert verdict.classification == {"nonclassical": "indivisible-certified"}.get(expected, expected)
+
+
+@pytest.mark.parametrize("batches", [True, 25.0, "25"])
+def test_a_batch_count_is_an_integer(batches):
+    # the t rule reads batches - 1 degrees of freedom; None means unknown
+    with pytest.raises(PreconditionError, match="batches must be an integer"):
+        nonclassicality_witness(0.3, 2, 2, stderr=0.01, batches=batches)
+
+
+def test_the_t_critical_value_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    assert T_TAIL == pytest.approx(1.3499e-3, rel=1e-4)
+    assert _t_critical(19) == pytest.approx(3.447, abs=5e-4)
+    for df in range(1, 1001):
+        assert _t_critical(df) == pytest.approx(stats.t.isf(T_TAIL, df), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("batches", [2, MIN_CERTIFY_BATCHES - 1])

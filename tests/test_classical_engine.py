@@ -28,6 +28,7 @@ from multiport import (
     mc_estimate_gbar,
     pseudo_thermal_source,
 )
+from multiport.bounds import student_t_two_sided
 from multiport.report import DEFAULT_BATCHES, assemble_report, batch_sizes, batch_sums, report_from_batches
 
 
@@ -694,20 +695,6 @@ def test_peak_memory_does_not_grow_with_shots():
     # 40x the shots: 5,000 and 200,000 shots per batch; whole-batch arrays
     # grew the peak from 37 to 79 MB (chunks: 0.8 MB)
     assert peak_rss_kb(4 * 10**6) - peak_rss_kb(10**5) <= 2048
-
-
-def student_t_two_sided(t, df):
-    """P(|T| > t) for Student's t with df degrees of freedom, from the finite
-    series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df) in
-    the powers df % 2, df % 2 + 2, .., df - 2 of cos theta."""
-    theta = math.atan(t / math.sqrt(df))
-    term, series = math.cos(theta) ** (df % 2), 0.0
-    for k in range(df % 2, df - 1, 2):
-        series += term
-        term *= math.cos(theta) ** 2 * (k + 1) / (k + 2)
-    if df % 2:
-        return 1 - 2 / math.pi * (theta + math.sin(theta) * series)
-    return 1 - math.sin(theta) * series
 
 
 def binomial_band(n, p, tail):

@@ -14,6 +14,7 @@ from multiport import (
     MatrixValidationError,
     OverlapMatrix,
     PhotonStatistics,
+    PreconditionError,
     TruncationError,
     UndefinedEtaError,
     classical_moments,
@@ -329,7 +330,7 @@ def test_a_pseudo_thermal_rule_is_built_once_per_level_count(monkeypatch):
     second = pseudo_thermal_source(2.0, 7)
     assert np.array_equal(first.probabilities, second.probabilities)
     assert np.allclose(second.amplitudes**2, 4 * first.amplitudes**2, rtol=1e-15, atol=0)
-    with pytest.raises(TypeError):
+    with pytest.raises(PreconditionError, match="levels must be an integer"):
         pseudo_thermal_source(1.0, 7.0)  # a float count is refused, not read from 7's entry
 
 
