@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cache
 
-from .errors import DimensionError, InvalidStatisticsError, PreconditionError, check_integer
+from .errors import DimensionError, InvalidStatisticsError, PreconditionError, check_counts, check_integer
 from .report import CorrelationReport
 from .sources import TAIL_TOL
 
@@ -52,11 +52,7 @@ def classical_min(n_sources: int, n_detectors: int) -> float:
     Fourier-transform interferometer (which ignores the surplus sources when
     N > M).
     """
-    n_sources, n_detectors = check_integer(n_sources, "n_sources"), check_integer(n_detectors, "n_detectors")
-    if n_detectors < 2:
-        raise DimensionError("the pair average needs at least 2 detectors")
-    if n_sources < 1:
-        raise DimensionError("need at least one source")
+    n_sources, n_detectors = check_counts(n_sources, n_detectors)
     if n_sources <= n_detectors:
         return 1.0 - (n_sources - 1) / (n_sources * (n_detectors - 1))
     return 1.0 - 1.0 / n_detectors

@@ -55,6 +55,14 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_counts(n_sources, n_detectors) -> tuple[int, int]:
+    """(N sources, M detectors) as ints, if a pair average has them: N >= 1, M >= 2."""
+    n_sources, n_detectors = check_integer(n_sources, "n_sources"), check_integer(n_detectors, "n_detectors")
+    if n_sources < 1 or n_detectors < 2:
+        raise DimensionError(f"need N >= 1 sources and M >= 2 detectors, got N={n_sources}, M={n_detectors}")
+    return n_sources, n_detectors
+
+
 def check_seed(seed) -> int:
     """A seed as an int. Only a non-negative integer seeds a reproducible
     result: numpy would take None as fresh OS entropy."""

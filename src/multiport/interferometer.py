@@ -18,7 +18,8 @@ UNITARITY_TOL = 1e-12
 
 
 def as_complex_matrix(entries, what: str = "matrix") -> np.ndarray:
-    """Coerce ``entries`` to a validated, read-only 2-D complex array.
+    """``entries`` as a validated, read-only 2-D complex array: the first check
+    of every matrix the library takes (transfer, unitary, configuration, overlap).
 
     Raises:
         MatrixValidationError: on non-finite entries or a non-2D shape.

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MatrixValidationError, check_integer, check_seed
+from .errors import DimensionError, MatrixValidationError, check_counts, check_integer, check_seed
+from .interferometer import as_complex_matrix
 
 NORM_TOL = 1e-10
 _INEQUALITY_TOL = 1e-10
@@ -31,20 +32,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class PsiConfiguration:
-    """M unit-norm complex vectors of dimension N, stored as rows."""
+    """M unit-norm vectors in C^N: the rows of a matrix, checked as every matrix is."""
 
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.vectors, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionError("configuration must be a non-empty 2-D array")
-        if not np.all(np.isfinite(arr)):
-            raise MatrixValidationError("configuration contains non-finite entries")
-        norms = np.linalg.norm(arr, axis=1)
-        if np.max(np.abs(norms - 1.0)) > NORM_TOL:
+        arr = as_complex_matrix(self.vectors, "configuration")
+        if np.max(np.abs(np.linalg.norm(arr, axis=1) - 1.0)) > NORM_TOL:
             raise MatrixValidationError("every vector must have unit norm")
-        arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 
     @property
@@ -78,9 +73,10 @@ def _value_and_gradient(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _vectors_of(config) -> np.ndarray:
-    if isinstance(config, PsiConfiguration):
-        return config.vectors
-    return np.asarray(config, dtype=complex)
+    vectors = config.vectors if isinstance(config, PsiConfiguration) else np.asarray(config, dtype=complex)
+    if vectors.shape[0] < 2:
+        raise DimensionError("the pair average needs at least 2 vectors")
+    return vectors
 
 
 def gbar_objective(config) -> float:
@@ -90,10 +86,7 @@ def gbar_objective(config) -> float:
     ordinary polynomial in the components, so it stays defined off the unit
     spheres (useful for finite-difference checks).
     """
-    vectors = _vectors_of(config)
-    if vectors.shape[0] < 2:
-        raise DimensionError("the pair average needs at least 2 vectors")
-    return float(_value_and_gradient(vectors)[0])
+    return float(_value_and_gradient(_vectors_of(config))[0])
 
 
 def gbar_gradient(config) -> np.ndarray:
@@ -103,10 +96,7 @@ def gbar_gradient(config) -> np.ndarray:
     partial derivatives with respect to the real and imaginary parts of each
     component (validated against central finite differences in the tests).
     """
-    vectors = _vectors_of(config)
-    if vectors.shape[0] < 2:
-        raise DimensionError("the pair average needs at least 2 vectors")
-    return _value_and_gradient(vectors)[1]
+    return _value_and_gradient(_vectors_of(config))[1]
 
 
 def optimal_configuration(n_sources: int, n_detectors: int) -> PsiConfiguration:
@@ -114,13 +104,9 @@ def optimal_configuration(n_sources: int, n_detectors: int) -> PsiConfiguration:
 
     Component (i, a) is exp(2*pi*1j*i*a/M)/sqrt(min(M, N)) for a < M and zero
     otherwise: Fourier phases spread evenly over the circle, with surplus
-    sources (a >= M when N > M) ignored entirely.
+    sources (a >= M when N > M) ignored entirely. N and M as in classical_min.
     """
-    n_sources, n_detectors = check_integer(n_sources, "n_sources"), check_integer(n_detectors, "n_detectors")
-    if n_detectors < 2:
-        raise DimensionError("need at least 2 detectors")
-    if n_sources < 1:
-        raise DimensionError("need at least 1 source")
+    n_sources, n_detectors = check_counts(n_sources, n_detectors)
     k = min(n_detectors, n_sources)
     rows = np.arange(n_detectors)[:, None]
     cols = np.arange(n_sources)[None, :]
@@ -264,17 +250,13 @@ def multistart_minimize(
     descend together in blocks of ``RESTART_BLOCK``. The restart with the
     lowest final value wins, ties broken by the lower index. With DEBUG
     enabled on the ``multiport.optimizer`` logger, each accepted step logs
-    one ``restart<TAB>iteration<TAB>value`` record, restart-major. The counts
-    must be integers (Python or numpy, not bool), else ``PreconditionError``.
+    one ``restart<TAB>iteration<TAB>value`` record, restart-major. Counts are
+    integers, else ``PreconditionError``; N and M follow classical_min's rule.
     """
-    n_sources, n_detectors = check_integer(n_sources, "n_sources"), check_integer(n_detectors, "n_detectors")
+    n_sources, n_detectors = check_counts(n_sources, n_detectors)
     restarts, max_iters = check_integer(restarts, "restarts"), check_integer(max_iters, "max_iters")
-    if n_detectors < 2:
-        raise DimensionError("need at least 2 detectors")
-    if n_sources < 1 or restarts < 1:
-        raise DimensionError("need n_sources >= 1 and restarts >= 1")
-    if max_iters < 0:
-        raise DimensionError("max_iters must be >= 0")
+    if restarts < 1 or max_iters < 0:
+        raise DimensionError(f"need restarts >= 1 and max_iters >= 0, got {restarts}, {max_iters}")
     children = np.random.SeedSequence(check_seed(seed)).spawn(restarts)
     values, iterations = [], []
     best, best_point = 0, None

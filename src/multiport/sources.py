@@ -21,6 +21,7 @@ from .errors import (
     UndefinedEtaError,
     check_integer,
 )
+from .interferometer import as_complex_matrix
 
 # Constructors refuse to drop more tail probability, or add more eta, than this.
 TAIL_TOL = 1e-10
@@ -113,8 +114,8 @@ def fock(n: int) -> PhotonStatistics:
 def coherent(mean: float, cutoff: int) -> PhotonStatistics:
     """Phase-averaged coherent state: Poisson statistics with the given mean."""
     cutoff = check_integer(cutoff, "cutoff")
-    if mean < 0:
-        raise InvalidStatisticsError("coherent mean must be >= 0")
+    if not 0 <= mean < np.inf:
+        raise InvalidStatisticsError("coherent mean must be finite and >= 0")
     if mean == 0:
         return fock(0)
     n = np.arange(cutoff + 1)
@@ -126,8 +127,8 @@ def coherent(mean: float, cutoff: int) -> PhotonStatistics:
 def thermal(mean: float, cutoff: int) -> PhotonStatistics:
     """Thermal (Bose-Einstein) statistics: p(n) proportional to (mean/(1+mean))^n."""
     cutoff = check_integer(cutoff, "cutoff")
-    if mean < 0:
-        raise InvalidStatisticsError("thermal mean must be >= 0")
+    if not 0 <= mean < np.inf:
+        raise InvalidStatisticsError("thermal mean must be finite and >= 0")
     if mean == 0:
         return fock(0)
     ratio = mean / (1.0 + mean)
@@ -142,8 +143,8 @@ def squeezed_vacuum(r: float, cutoff: int) -> PhotonStatistics:
     p(2k) = tanh(r)^(2k) (2k)! / (4^k (k!)^2 cosh(r)).
     """
     cutoff = check_integer(cutoff, "cutoff")
-    if r < 0:
-        raise InvalidStatisticsError("squeezing parameter must be >= 0")
+    if not 0 <= r < np.inf:
+        raise InvalidStatisticsError("squeezing parameter must be finite and >= 0")
     if r == 0:
         return fock(0)
     pmf = np.zeros(cutoff + 1)
@@ -221,8 +222,8 @@ def pseudo_thermal_source(mean_intensity: float, levels: int = 32) -> ClassicalS
     (in particular <I^2> = 2 <I>^2). At most ``MAX_LEVELS`` levels.
     """
     levels = check_integer(levels, "levels")  # 32.0 must not hit 32's cache entry
-    if mean_intensity < 0:
-        raise InvalidStatisticsError("mean intensity must be >= 0")
+    if not 0 <= mean_intensity < np.inf:
+        raise InvalidStatisticsError("mean intensity must be finite and >= 0")
     if levels < 2:
         raise InvalidStatisticsError("need at least 2 quadrature levels")
     if levels > MAX_LEVELS:
@@ -258,11 +259,9 @@ class OverlapMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = as_complex_matrix(self.matrix, "overlap matrix")
+        if arr.shape[0] != arr.shape[1]:
             raise MatrixValidationError("overlap matrix must be square")
-        if not np.all(np.isfinite(arr)):
-            raise MatrixValidationError("overlap matrix contains non-finite entries")
         if np.max(np.abs(arr - arr.conj().T)) > _OVERLAP_TOL:
             raise MatrixValidationError("overlap matrix must be Hermitian")
         if np.max(np.abs(np.diagonal(arr) - 1.0)) > _OVERLAP_TOL:
@@ -271,7 +270,7 @@ class OverlapMatrix:
             raise MatrixValidationError("overlap magnitudes must not exceed 1")
         if np.min(np.linalg.eigvalsh(arr)) < -_PSD_TOL:
             raise MatrixValidationError("overlap matrix must be positive semidefinite")
-        object.__setattr__(self, "matrix", _frozen(arr))
+        object.__setattr__(self, "matrix", arr)
 
     @property
     def dim(self) -> int:

@@ -56,18 +56,3 @@ def random_psi_configuration(rng, max_vectors: int = 6, max_dim: int = 6) -> mp.
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
-
-
-@pytest.fixture
-def make_classical_setup():
-    return random_classical_setup
-
-
-@pytest.fixture
-def make_quantum_setup():
-    return random_quantum_setup_eta_nonpositive
-
-
-@pytest.fixture
-def make_psi_configuration():
-    return random_psi_configuration

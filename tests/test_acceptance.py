@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
-import itertools
 import sys
 import time
 

@@ -165,7 +165,7 @@ def three_fixed_sources(amplitude):
     return ClassicalSetup(ftm(3).matrix, tuple(fixed_source(amplitude) for _ in range(3)))
 
 
-@pytest.mark.parametrize("amplitude", [1e-80, 1e-81, 1e80])
+@pytest.mark.parametrize("amplitude", [1e-80, 1e-81, 1e80, 1e200])
 def test_intensities_outside_the_float_range_are_refused(amplitude):
     # at 1e-80 the pair products went subnormal and read 0.666502, below the
     # bound 2/3; at 1e-81 and 1e80 the report's gbar was NaN
@@ -177,6 +177,12 @@ def test_intensities_outside_the_float_range_are_refused(amplitude):
 def test_mc_of_weak_light_is_refused(amplitude, shots, seed):
     with pytest.raises(DegenerateSetupError, match="rescale"):
         mc_estimate_gbar(three_fixed_sources(amplitude), shots, seed)
+
+
+def test_mc_of_overflowing_light_is_refused():
+    # the squared amplitudes leave the float range; a RuntimeWarning fails the test
+    with pytest.raises(DegenerateSetupError, match="rescale"):
+        mc_estimate_gbar(three_fixed_sources(1e200), 10**4, 0)
 
 
 def test_setup_validation():

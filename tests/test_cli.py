@@ -674,7 +674,11 @@ def test_unrepresentable_levels_exit_3_in_one_line(tmp_path):
 
 @pytest.mark.parametrize(
     "mode,amplitude,extra",
-    [("classical-mc", 1e160, {"shots": 2000}), ("classical-analytic", 1e80, {})],
+    [
+        ("classical-mc", 1e160, {"shots": 2000}),
+        ("classical-analytic", 1e80, {}),
+        ("classical-analytic", 1e200, {}),
+    ],
 )
 def test_overflowing_light_is_refused_in_one_line(tmp_path, mode, amplitude, extra):
     # the intensities (or their moments) leave the float range; before, Monte
@@ -880,6 +884,7 @@ RECORD_ERRORS = {
     "missing-dim": ({"interferometer": {"random": {"seed": 1}}}, EXIT_CONFIG),
     "unknown-builder": ({"interferometer": {"fft": 2}}, EXIT_CONFIG),
     "short-direct-sum": ({"interferometer": {"direct_sum": [{"ftm": 2}]}}, EXIT_CONFIG),
+    "two-builders": ({"interferometer": {"ftm": 2, "random": {"dim": 2}}}, EXIT_CONFIG),
 }
 
 
@@ -891,6 +896,51 @@ def test_every_record_error_exits_with_its_documented_code(tmp_path, capsys, cas
     assert not out_path.exists()
     prefix = {EXIT_CONFIG: "config", EXIT_DIMENSION: "dimension"}[expected]
     assert capsys.readouterr().err.startswith(f"{prefix} error: ")
+
+
+# configs each mode refuses before it computes anything, and their exit codes
+REFUSED_CONFIGS = {
+    "more-sources-than-modes": ({**HOM_QUANTUM, "sources": [FOCK] * 3}, EXIT_CONFIG, "3 sources"),
+    "m_min-above-m_max": ({"mode": "bounds", "m_min": 5, "m_max": 4}, EXIT_CONFIG, "m_min <= m_max"),
+    "unknown-witness-kind": (
+        {"mode": "witness", "witness_kind": "entanglement", "gbar": 0.5},
+        EXIT_CONFIG,
+        "unknown witness_kind",
+    ),
+    "divisibility-detector-subset": (
+        {"mode": "divisibility", "interferometer": {"ftm": 3}, "sources": [FOCK], "detectors": [0, 1]},
+        EXIT_ENGINE,
+        "all outputs monitored",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_CONFIGS)
+def test_each_refused_config_exits_with_its_code(tmp_path, capsys, case):
+    payload, expected, message = REFUSED_CONFIGS[case]
+    code, _, out_path = run_cli(tmp_path, payload)
+    assert code == expected
+    assert not out_path.exists()
+    prefix = {EXIT_CONFIG: "config", EXIT_ENGINE: "engine"}[expected]
+    err = capsys.readouterr().err
+    assert err.startswith(f"{prefix} error: ") and message in err
+
+
+@pytest.mark.parametrize("mode", ["quantum", "oracle"])
+def test_a_unitary_file_gives_the_results_of_its_builder(tmp_path, mode):
+    save_matrix(ftm(3).matrix, tmp_path / "ftm3.txt")
+    save_matrix(2 * ftm(3).matrix, tmp_path / "twice.txt")
+    payload = {"mode": mode, "sources": [FOCK, {"kind": "fock", "n": 2}]}
+
+    def run_on(spec, out):
+        return run_cli(tmp_path, {**payload, "interferometer": spec}, out=out)
+
+    _, built, _ = run_on({"ftm": 3}, "built.json")
+    code, loaded, _ = run_on({"file": str(tmp_path / "ftm3.txt")}, "loaded.json")
+    assert code == EXIT_OK
+    assert loaded["results"] == built["results"]
+    code, _, out_path = run_on({"file": str(tmp_path / "twice.txt")}, "twice.json")
+    assert code == EXIT_DIMENSION and not out_path.exists()
 
 
 def test_null_fields_with_no_default_mean_absent(tmp_path, monkeypatch):

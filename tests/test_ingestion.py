@@ -81,6 +81,8 @@ def test_record_validation():
         ShotRecord(0, np.array([1.0, -0.5]))
     with pytest.raises(MatrixValidationError):
         ShotRecord(0, np.array([1.0, np.nan]))
+    with pytest.raises(MatrixValidationError):
+        ShotRecord(0, [])
 
 
 def test_boundary_data_is_inconclusive_not_certified():

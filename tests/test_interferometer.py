@@ -14,7 +14,7 @@ from multiport import (
     matrix_to_text,
     random_unitary,
 )
-from multiport.interferometer import unitarity_defect
+from multiport.interferometer import as_complex_matrix, unitarity_defect
 
 
 def test_ftm_one_is_identity():
@@ -43,6 +43,8 @@ def test_ftm_three_matches_entry_formula():
 def test_ftm_rejects_zero_modes():
     with pytest.raises(DimensionError):
         ftm(0)
+    with pytest.raises(DimensionError):
+        random_unitary(0, 1)
 
 
 @pytest.mark.parametrize("m", list(range(1, 65)))
@@ -145,6 +147,15 @@ def test_matrix_text_rejects_malformed():
         matrix_from_text("not a matrix")
     with pytest.raises(MatrixValidationError):
         matrix_from_text("")
+    with pytest.raises(DimensionError):
+        matrix_from_text("0 2")
+
+
+def test_a_matrix_is_two_dimensional_and_non_empty():
+    with pytest.raises(MatrixValidationError, match="2-D"):
+        as_complex_matrix(np.ones(3))
+    with pytest.raises(DimensionError):
+        as_complex_matrix(np.zeros((0, 2)))
 
 
 def test_column_major_matrices_are_accepted():

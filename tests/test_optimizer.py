@@ -91,6 +91,8 @@ def test_objective_invariant_under_coordinate_phases(rng):
 def test_objective_requires_two_vectors():
     with pytest.raises(DimensionError):
         gbar_objective(PsiConfiguration(np.array([[1.0 + 0j]])))
+    with pytest.raises(DimensionError, match="at least 2 vectors"):
+        gbar_gradient(np.array([[1.0, 0.0]]))
 
 
 def test_configuration_validation():
@@ -98,6 +100,12 @@ def test_configuration_validation():
         PsiConfiguration(np.array([[0.5 + 0j, 0.0], [0.0, 1.0]]))
     with pytest.raises(MatrixValidationError):
         PsiConfiguration(np.array([[np.nan + 0j, 1.0]]))
+    with pytest.raises(MatrixValidationError):
+        PsiConfiguration(np.array([[1.0, 0.0], [np.inf, 0.0]]))
+    with pytest.raises(MatrixValidationError, match="2-D"):
+        PsiConfiguration(np.array([1.0, 0.0]))
+    with pytest.raises(DimensionError):
+        PsiConfiguration(np.zeros((0, 2)))
 
 
 # ----------------------------------------------------------- gradient
@@ -411,6 +419,14 @@ def test_optimal_configuration_hits_closed_form_everywhere():
 def test_optimal_configuration_ignores_surplus_sources():
     config = optimal_configuration(6, 3)
     assert np.all(config.vectors[:, 3:] == 0)
+
+
+@pytest.mark.parametrize("n_sources,n_detectors", [(2, 1), (0, 2)])
+def test_optimal_configuration_takes_the_classical_bound_counts(n_sources, n_detectors):
+    with pytest.raises(DimensionError):
+        classical_min(n_sources, n_detectors)
+    with pytest.raises(DimensionError):
+        optimal_configuration(n_sources, n_detectors)
 
 
 # ----------------------------------------------------------- frame inequalities

@@ -10,7 +10,7 @@ from multiport import (
     ftm,
     mc_estimate_gbar,
 )
-from multiport import InsufficientSamplesError
+from multiport import DegenerateSetupError, InsufficientSamplesError
 from multiport.report import CorrelationReport, batch_stderr, batch_sums, report_from_batches
 
 
@@ -41,6 +41,23 @@ def test_gbar_must_match_ratio_mean():
                 gbar=gbar,
                 provenance="analytic",
             )
+
+
+@pytest.mark.parametrize(
+    "fields,error",
+    [({"provenance": "guessed"}, ValueError), ({"pair_ratios": (), "gbar": 0.0}, DegenerateSetupError)],
+)
+def test_a_report_refuses_an_unknown_provenance_and_no_pairs(fields, error):
+    report = {
+        "detectors": (0, 1),
+        "intensity_means": np.array([1.0, 1.0]),
+        "active_detectors": (0, 1),
+        "pair_ratios": ((0, 1, 0.5),),
+        "gbar": 0.5,
+        "provenance": "analytic",
+    }
+    with pytest.raises(error):
+        CorrelationReport(**{**report, **fields})
 
 
 def test_measured_report_from_records():

@@ -147,6 +147,25 @@ def test_squeezed_insufficient_cutoff():
         squeezed_vacuum(1.5, 6)
 
 
+# each constructor with its real parameter and that parameter's name
+REAL_PARAMETERS = {
+    "coherent": (lambda x: coherent(x, 40), "coherent mean"),
+    "thermal": (lambda x: thermal(x, 80), "thermal mean"),
+    "squeezed_vacuum": (lambda x: squeezed_vacuum(x, 60), "squeezing parameter"),
+    "pseudo_thermal_source": (pseudo_thermal_source, "mean intensity"),
+}
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("law", REAL_PARAMETERS)
+def test_a_source_parameter_is_refused_by_name_unless_finite_and_non_negative(law, value):
+    # inf passed the old x < 0 test: coherent(inf) warned first, squeezed_vacuum(inf)
+    # asked for a larger cutoff, and NaN was refused as a non-finite pmf
+    build, name = REAL_PARAMETERS[law]
+    with pytest.raises(InvalidStatisticsError, match=f"{name} must be finite and >= 0"):
+        build(value)
+
+
 @pytest.mark.parametrize("law", [coherent, thermal])
 def test_a_cutoff_that_fakes_sub_poissonian_light_is_refused(law):
     # the dropped tail is 5e-13, but the rescaled law lives on {0, 1}: eta = 1
@@ -275,6 +294,10 @@ def test_pmf_validation():
         PhotonStatistics(np.array([0.5, -0.5, 1.0]))
     with pytest.raises(InvalidStatisticsError):
         PhotonStatistics(np.array([0.5, 0.4]))
+    with pytest.raises(InvalidStatisticsError, match="1-D"):
+        PhotonStatistics(np.full((2, 2), 0.25))
+    with pytest.raises(InvalidStatisticsError, match="non-finite"):
+        PhotonStatistics(np.array([np.nan, 1.0]))
 
 
 # ---------------------------------------------------------------- classical sources
@@ -350,6 +373,8 @@ def test_classical_source_validation():
         ClassicalSource(np.array([0.5, 0.5]), np.array([1.0, -1.0]))
     with pytest.raises(InvalidStatisticsError):
         ClassicalSource(np.array([1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(InvalidStatisticsError, match="at least 2 quadrature levels"):
+        pseudo_thermal_source(1.0, 1)
 
 
 # ---------------------------------------------------------------- overlap matrices
@@ -384,6 +409,12 @@ def test_overlap_validation():
     assert np.min(np.linalg.eigvalsh(not_psd)) < -0.1
     with pytest.raises(MatrixValidationError):
         OverlapMatrix(not_psd)
+    with pytest.raises(MatrixValidationError):
+        OverlapMatrix(np.ones(3))  # not 2-D
+    with pytest.raises(MatrixValidationError, match="square"):
+        OverlapMatrix(np.eye(2, 3))
+    with pytest.raises(MatrixValidationError):
+        OverlapMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 # ---------------------------------------------------------------- records

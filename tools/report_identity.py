@@ -4,7 +4,10 @@
 
 For each seed, the configs of the ``perfbench`` ``cli`` workload (its nine
 modes, drawn from the seed as that workload draws them, and its two
-``FAULTY`` configs) are written to a scratch directory. Each config then runs
+``FAULTY`` configs) are written to a scratch directory, with three configs
+whose interferometer is a matrix file: a 3x3 unitary for ``quantum`` and
+``oracle`` and a 2x3 transfer map for ``classical-analytic``, drawn from a
+stream of the seed of their own. Each config then runs
 as ``python -m multiport --config NAME.json --out NAME.out.json`` in a fresh
 process, once with this checkout's ``src/`` and once with the baseline's on
 ``PYTHONPATH``. The two runs must give the same exit code, standard output,
@@ -42,13 +45,44 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def file_configs(seed: int, workdir: Path) -> dict[str, dict]:
+    """Configs that read their interferometer from a matrix file; writes the files."""
+    from cli_workload import classical_record, quantum_record
+
+    from multiport import random_unitary, save_matrix
+
+    rng = np.random.default_rng([seed, 5])
+    save_matrix(random_unitary(3, int(rng.integers(0, 2**31))).matrix, workdir / "unitary.txt")
+    save_matrix(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)), workdir / "transfer.txt")
+    unitary = {"file": "unitary.txt"}
+    return {
+        "quantum-file": {
+            "mode": "quantum",
+            "interferometer": unitary,
+            "sources": [quantum_record(rng) for _ in range(3)],
+        },
+        "oracle-file": {
+            "mode": "oracle",
+            "interferometer": unitary,
+            "sources": [{"kind": "fock", "n": 1}] * 3,
+        },
+        "classical-analytic-file": {
+            "mode": "classical-analytic",
+            "interferometer": {"file": "transfer.txt"},
+            "sources": [classical_record(rng) for _ in range(3)],
+        },
+    }
+
+
 def write_configs(seed: int, workdir: Path) -> list[str]:
-    """Write the cli workload's configs for ``seed``; returns their names."""
+    """Write the cli workload's configs and the file configs for ``seed``;
+    returns their names."""
     from cli_workload import FAULTY, configs
 
     rng = np.random.default_rng([seed, 4])
     cfgs = {name: {"mode": name, **cfg} for name, cfg in configs(rng, workdir).items()}
     cfgs.update(FAULTY)
+    cfgs.update(file_configs(seed, workdir))
     for name, cfg in cfgs.items():
         (workdir / f"{name}.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
     return list(cfgs)
