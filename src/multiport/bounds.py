@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cache
 
-from .errors import DimensionError, InvalidStatisticsError, PreconditionError, check_counts, check_integer
+from .errors import InvalidStatisticsError, PreconditionError, check_counts, check_detectors, check_integer
 from .report import CorrelationReport
 from .sources import TAIL_TOL
 
@@ -72,9 +72,7 @@ def symmetric_quantum_min(n_detectors: int, eta: float) -> float:
     1 - (1 + eta)/M, reached on the M-mode Fourier interferometer. It is the
     minimum over interferometers only for eta >= 0: super-Poissonian inputs
     go below it on other unitaries."""
-    n_detectors = check_integer(n_detectors, "n_detectors")
-    if n_detectors < 2:
-        raise DimensionError("the pair average needs at least 2 detectors")
+    n_detectors = check_detectors(n_detectors, "n_detectors")
     _check_eta(eta)
     return 1.0 - (1.0 + eta) / n_detectors
 
@@ -83,9 +81,7 @@ def divisibility_threshold(n_modes: int, eta: float) -> float:
     """Minimum pair average for an interferometer split into two independent
     blocks, fed with m identical inputs of the given eta and fully monitored:
     1 - (1 + eta)(m-2)/(m(m-1))."""
-    n_modes = check_integer(n_modes, "n_modes")
-    if n_modes < 2:
-        raise DimensionError("divisibility needs at least 2 modes")
+    n_modes = check_detectors(n_modes, "n_modes")
     _check_eta(eta)
     return 1.0 - (1.0 + eta) * (n_modes - 2) / (n_modes * (n_modes - 1))
 
@@ -163,6 +159,8 @@ def _verdict(
     # a negative stderr would shrink the rule's band to BOUNDARY_MARGIN
     if not math.isfinite(gbar) or (stderr is not None and not 0 <= stderr < math.inf):
         raise PreconditionError(f"a verdict needs a finite gbar and stderr >= 0, got {gbar}, {stderr}")
+    if stderr is None and batches is not None:  # an estimate judged as exact could certify
+        raise PreconditionError(f"batches = {batches!r} counts the batches of a stderr, and none was given")
     margin = threshold - gbar
     sigmas = margin / stderr if stderr else None
     few = batches is not None and check_integer(batches, "batches") < MIN_CERTIFY_BATCHES

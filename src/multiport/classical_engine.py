@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, check_seed
+from .errors import DimensionError, check_energy_scale, check_seed
 from .interferometer import as_complex_matrix
 from .report import (
     DEFAULT_BATCHES,
@@ -52,8 +52,7 @@ class ClassicalSetup:
             )
         if self.overlap is not None and self.overlap.dim != len(sources):
             raise DimensionError("overlap matrix must be n_sources x n_sources")
-        if not (0 < self.energy_scale < np.inf):
-            raise DimensionError("energy scale must be positive and finite")
+        check_energy_scale(self.energy_scale)
         object.__setattr__(self, "transfer", arr)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "detectors", tuple(range(arr.shape[0])))
@@ -345,7 +344,7 @@ def mc_estimate_gbar(
     reproducible bit for bit for a fixed (seed, shots, batches) on any
     number of CPUs. The seed and the counts must be integers (Python or
     numpy, not bool), the seed non-negative, else ``PreconditionError``;
-    fewer than two shots or batches raise ``InsufficientSamplesError``.
+    fewer than 2 batches of 2 shots raise ``InsufficientSamplesError``.
     """
     n = setup.n_sources
     rows = _detection_rows(setup)

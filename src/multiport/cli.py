@@ -81,6 +81,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _text(value) -> str:
+    """A config path or delimiter: a JSON string, never a number read as a file descriptor."""
+    if not isinstance(value, str):
+        raise ConfigError(f"expected a string, got {value!r}")
+    return value
+
+
 def _seed(value) -> int:
     """A config seed: a non-negative integer."""
     seed = _integer(value)
@@ -176,7 +183,7 @@ def _interferometer(spec: _Fields) -> np.ndarray:
             raise ConfigError("direct_sum takes a list of two interferometer specs")
         return direct_sum(*(UnitaryMatrix(_interferometer(part)) for part in parts)).matrix
     if kind == "file":
-        return load_matrix(spec.read("file"))
+        return load_matrix(spec.read("file", _text))
     raise ConfigError(f"unknown interferometer builder {kind!r}")
 
 
@@ -185,7 +192,7 @@ def _classical_setup(fields: _Fields) -> ClassicalSetup:
     sources = tuple(r.build(_CLASSICAL_KINDS) for r in fields.read("sources", _records))
     overlap = fields.read("overlap", _Fields, None)
     if overlap is not None:
-        overlap = OverlapMatrix(load_matrix(overlap.read("file")))
+        overlap = OverlapMatrix(load_matrix(overlap.read("file", _text)))
     energy = fields.read("energy_scale", _real, 1.0)
     return ClassicalSetup(transfer, sources, overlap=overlap, energy_scale=energy)
 
@@ -268,7 +275,7 @@ def _run_bounds(fields: _Fields) -> tuple[dict, list[str]]:
         for m in range(m_min, m_max + 1)
     ]
     lines = ["\t".join(rows[0])] + ["\t".join(f"{v:.12g}" for v in r.values()) for r in rows]
-    fields.optional("table_out")  # main writes the table, once the report is out
+    fields.optional("table_out", _text)  # main writes the table, once the report is out
     return {"thresholds": rows}, lines
 
 
@@ -317,7 +324,7 @@ def _run_witness(fields: _Fields) -> tuple[dict, list[str]]:
 
 def _run_ingest(fields: _Fields) -> tuple[dict, list[str]]:
     records, rejected = read_shot_records(
-        fields.read("records_file"), delimiter=fields.read("delimiter", default=None)
+        fields.read("records_file", _text), delimiter=fields.read("delimiter", _text, None)
     )
     batches = fields.read("batches", _integer, DEFAULT_BATCHES)
     rep = correlation_report_from_records(records, batches=batches)

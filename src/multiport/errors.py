@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the argument checks that
 several modules make."""
 
+import math
 import numbers
 
 
@@ -55,12 +56,26 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_detectors(count, name: str) -> int:
+    """``count`` as an int, if a pair average has that many detectors: at least 2."""
+    if (count := check_integer(count, name)) < 2:
+        raise DimensionError(f"a pair average needs at least 2 {name}, got {count}")
+    return count
+
+
 def check_counts(n_sources, n_detectors) -> tuple[int, int]:
     """(N sources, M detectors) as ints, if a pair average has them: N >= 1, M >= 2."""
-    n_sources, n_detectors = check_integer(n_sources, "n_sources"), check_integer(n_detectors, "n_detectors")
-    if n_sources < 1 or n_detectors < 2:
-        raise DimensionError(f"need N >= 1 sources and M >= 2 detectors, got N={n_sources}, M={n_detectors}")
+    n_sources = check_integer(n_sources, "n_sources")
+    n_detectors = check_detectors(n_detectors, "n_detectors")
+    if n_sources < 1:
+        raise DimensionError(f"need at least 1 source, got n_sources={n_sources}")
     return n_sources, n_detectors
+
+
+def check_energy_scale(scale) -> None:
+    """An energy scale multiplies every intensity: it must be positive and finite."""
+    if not 0 < scale < math.inf:
+        raise DimensionError(f"energy scale must be positive and finite, got {scale!r}")
 
 
 def check_seed(seed) -> int:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MatrixValidationError, check_counts, check_integer, check_seed
+from .errors import DimensionError, MatrixValidationError
+from .errors import check_counts, check_detectors, check_integer, check_seed
 from .interferometer import as_complex_matrix
 
 NORM_TOL = 1e-10
@@ -41,14 +42,6 @@ class PsiConfiguration:
         if np.max(np.abs(np.linalg.norm(arr, axis=1) - 1.0)) > NORM_TOL:
             raise MatrixValidationError("every vector must have unit norm")
         object.__setattr__(self, "vectors", arr)
-
-    @property
-    def n_vectors(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -74,8 +67,7 @@ def _value_and_gradient(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _vectors_of(config) -> np.ndarray:
     vectors = config.vectors if isinstance(config, PsiConfiguration) else np.asarray(config, dtype=complex)
-    if vectors.shape[0] < 2:
-        raise DimensionError("the pair average needs at least 2 vectors")
+    check_detectors(vectors.shape[0], "vectors")
     return vectors
 
 
@@ -123,12 +115,13 @@ def optimal_configuration(n_sources: int, n_detectors: int) -> PsiConfiguration:
 # stacks and a (block, STALL_WINDOW + 1) history.
 RESTART_BLOCK = 64
 # A restart stops once its tangent gradient norm is below GRADIENT_TOL, once
-# its value fell by less than STALL_TOL over the last STALL_WINDOW passes, or
-# once its step has halved to MIN_STEP.
+# its value fell by less than STALL_TOL over the last STALL_WINDOW passes,
+# once its step has halved to MIN_STEP, or after MAX_STEPS accepted steps.
 GRADIENT_TOL = 1e-9
 STALL_WINDOW = 50
 STALL_TOL = 1e-12
 MIN_STEP = 1e-18
+MAX_STEPS = 2000
 # A step passes when it lowers the value ARMIJO * step * |tangent gradient|^2
 # below the largest of its values after the last NONMONOTONE passes. A
 # Barzilai-Borwein step that is not finite and positive becomes FALLBACK_STEP,
@@ -148,9 +141,7 @@ def _tangent(p: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - (p.conj() * grad).real.sum(axis=-1, keepdims=True) * p
 
 
-def _descend(
-    p: np.ndarray, max_iters: int, record: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
+def _descend(p: np.ndarray, record: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[float]]]:
     """Riemannian Barzilai-Borwein descent on the product of spheres.
 
     Every configuration of the stack ``p`` (R, M, N) is one restart. A step
@@ -180,7 +171,7 @@ def _descend(
     accepted: list[list[float]] = [[] for _ in range(r)]
     for it in itertools.count():
         slope = _inner(tangent, tangent)
-        retire = (slope < GRADIENT_TOL**2) | (lr <= MIN_STEP) | (count == max_iters)
+        retire = (slope < GRADIENT_TOL**2) | (lr <= MIN_STEP) | (count == MAX_STEPS)
         if it >= STALL_WINDOW:
             retire |= recent[(it + 1) % width] - value < STALL_TOL
         if retire.any():
@@ -241,7 +232,6 @@ def multistart_minimize(
     n_detectors: int,
     restarts: int = 20,
     seed: int = 0,
-    max_iters: int = 2000,
 ) -> MultistartResult:
     """Multistart minimization of the classical pair average, with diagnostics.
 
@@ -254,9 +244,9 @@ def multistart_minimize(
     integers, else ``PreconditionError``; N and M follow classical_min's rule.
     """
     n_sources, n_detectors = check_counts(n_sources, n_detectors)
-    restarts, max_iters = check_integer(restarts, "restarts"), check_integer(max_iters, "max_iters")
-    if restarts < 1 or max_iters < 0:
-        raise DimensionError(f"need restarts >= 1 and max_iters >= 0, got {restarts}, {max_iters}")
+    restarts = check_integer(restarts, "restarts")
+    if restarts < 1:
+        raise DimensionError(f"need restarts >= 1, got {restarts}")
     children = np.random.SeedSequence(check_seed(seed)).spawn(restarts)
     values, iterations = [], []
     best, best_point = 0, None
@@ -271,7 +261,7 @@ def multistart_minimize(
                     + 1j * rng.standard_normal((n_detectors, n_sources))
                 )
             )
-        value, p, steps, accepted = _descend(np.stack(starts), max_iters, record)
+        value, p, steps, accepted = _descend(np.stack(starts), record)
         for k, history in enumerate(accepted):
             for it, v in enumerate(history):
                 logger.debug("%d\t%d\t%.17g", first + k, it, v)
@@ -295,7 +285,6 @@ def minimize_classical_gbar(
     n_detectors: int,
     restarts: int = 20,
     seed: int = 0,
-    max_iters: int = 2000,
 ) -> tuple[float, PsiConfiguration]:
     """Multistart minimization of the classical pair average.
 
@@ -303,7 +292,7 @@ def minimize_classical_gbar(
     wins, ties broken by restart index. Returns (best value, argmin); see
     :func:`multistart_minimize` for the diagnostics.
     """
-    result = multistart_minimize(n_sources, n_detectors, restarts, seed, max_iters)
+    result = multistart_minimize(n_sources, n_detectors, restarts, seed)
     return result.value, result.argmin
 
 

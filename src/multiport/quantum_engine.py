@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_engine import classical_gbar
-from .errors import DegenerateSetupError, DimensionError, OracleLimitError, check_integer
-from .interferometer import UnitaryMatrix, as_complex_matrix
+from .errors import DegenerateSetupError, DimensionError, OracleLimitError
+from .errors import check_detectors, check_energy_scale, check_integer
+from .interferometer import UnitaryMatrix
 from .report import CorrelationReport, active_positions, assemble_report
 from .sources import PhotonStatistics
 
@@ -48,17 +49,15 @@ class QuantumSetup:
         detectors = tuple(range(m)) if self.detectors is None else tuple(self.detectors)
         if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) for d in detectors):
             raise DimensionError(f"detector indices must be integers, got {detectors!r}")
-        if len(set(detectors)) != len(detectors):
-            raise DimensionError("detector indices must be distinct")
-        if any(not 0 <= d < m for d in detectors):
-            raise DimensionError(f"detector indices out of range for {m} modes")
-        if len(detectors) < 2:
-            raise DimensionError("need at least two monitored detectors")
-        if not (0 < self.energy_scale < np.inf):
-            raise DimensionError("energy scale must be positive and finite")
+        if len(set(detectors)) != len(detectors) or any(not 0 <= d < m for d in detectors):
+            raise DimensionError(f"detector indices must be distinct and in range({m}), got {detectors!r}")
+        check_detectors(len(detectors), "monitored detectors")
+        check_energy_scale(self.energy_scale)
+        transfer = self.unitary.matrix[list(detectors)]  # rows of a checked unitary, copied
+        transfer.setflags(write=False)
         object.__setattr__(self, "stats", stats)
         object.__setattr__(self, "detectors", detectors)
-        object.__setattr__(self, "transfer", as_complex_matrix(self.unitary.matrix[list(detectors)]))
+        object.__setattr__(self, "transfer", transfer)
 
     @property
     def n_modes(self) -> int:

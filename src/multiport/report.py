@@ -65,7 +65,8 @@ class CorrelationReport:
         ratios = [r for _, _, r in self.pair_ratios]
         if not ratios:
             raise DegenerateSetupError("a report needs at least one detector pair")
-        if not abs(self.gbar - sum(ratios) / len(ratios)) <= 1e-12:  # also refuses NaN
+        # relative: numpy's pairwise mean and this sum round large ratios apart; NaN fails too
+        if not abs(self.gbar - sum(ratios) / len(ratios)) <= 1e-12 * max(1.0, abs(self.gbar)):
             raise ValueError("gbar must be finite and equal the mean of the pair ratios")
 
     def to_dict(self) -> dict:
@@ -158,22 +159,14 @@ def assemble_report(
 
 
 def batch_sizes(shots: int, batches: int) -> np.ndarray:
-    """Sizes of ``min(batches, shots)`` contiguous batches, the first
-    ``shots % n`` one shot larger, as :func:`numpy.array_split` cuts them.
-    Counts that are not integers raise ``PreconditionError``."""
-    n = min(check_integer(batches, "batches"), check_integer(shots, "shots"))
+    """Sizes of ``n = min(batches, shots // 2)`` contiguous batches, the first ``shots % n``
+    one shot larger, as :func:`numpy.array_split` cuts them: a one-shot batch's ratio is 1
+    at every pair, a stderr of 0. Counts that are not integers raise ``PreconditionError``."""
+    n = min(check_integer(batches, "batches"), check_integer(shots, "shots") // 2)
     if n < 2:
-        raise InsufficientSamplesError(f"a batch-means stderr needs >= 2 batches, got {n}")
+        raise InsufficientSamplesError(f"a stderr needs >= 2 batches of >= 2 shots, got {shots}, {batches}")
     base, extra = divmod(shots, n)
     return np.array([base + 1] * extra + [base] * (n - extra))
-
-
-def batch_stderr(values: Sequence[float]) -> float:
-    """Standard error of the mean from per-batch statistic values."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise InsufficientSamplesError(f"a batch-means stderr needs >= 2 batches, got {arr.size}")
-    return float(np.sqrt(arr.var(ddof=1) / arr.size))
 
 
 def batch_sums(block: np.ndarray, ones=None, scratch=None) -> tuple[np.ndarray, np.ndarray, int]:
@@ -195,9 +188,9 @@ def report_from_batches(
 ) -> CorrelationReport:
     """Report of shots in batches, with a batch-means stderr.
 
-    Each item is one batch's :func:`batch_sums`, in batch order; only these
-    sums are kept, so a lazy iterable holds one batch at a time. The report
-    records the shot and batch counts.
+    Each item is one batch's :func:`batch_sums`, in batch order, for batches
+    cut by :func:`batch_sizes`; only these sums are kept, so a lazy iterable
+    holds one batch at a time. The report records the shot and batch counts.
     Monte Carlo and measured records share this estimator.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without noise
@@ -212,7 +205,7 @@ def report_from_batches(
         means,
         sum_prod.sum(axis=0) / shots,
         provenance,
-        stderr=batch_stderr(per_batch.mean(axis=-1)),
+        stderr=float(np.sqrt(per_batch.mean(axis=-1).var(ddof=1) / sizes.size)),
         energy_scale=energy_scale,
         batches=int(sizes.size),
         shots=int(shots),

@@ -319,12 +319,21 @@ def test_the_t_critical_value_matches_scipy():
 
 @pytest.mark.parametrize("batches", [2, MIN_CERTIFY_BATCHES - 1])
 def test_few_batches_withhold_every_certificate(batches):
-    for stderr in (0.01, None):
-        verdict = nonclassicality_witness(0.3, 2, 2, stderr=stderr, batches=batches)
-        assert verdict.classification == "inconclusive"
-        assert verdict.margin == pytest.approx(0.2, abs=1e-15)
-        verdict = divisibility_witness(0.5, 4, 1.0, stderr=stderr, batches=batches)
-        assert verdict.classification == "inconclusive"
+    verdict = nonclassicality_witness(0.3, 2, 2, stderr=0.01, batches=batches)
+    assert verdict.classification == "inconclusive"
+    assert verdict.margin == pytest.approx(0.2, abs=1e-15)
+    verdict = divisibility_witness(0.5, 4, 1.0, stderr=0.01, batches=batches)
+    assert verdict.classification == "inconclusive"
+
+
+@pytest.mark.parametrize("batches", [2, 25])
+def test_a_batch_count_needs_its_stderr(batches):
+    # batches say the gbar is an estimate: without its stderr, 25 batches
+    # certified 0.3 as if it were exact
+    with pytest.raises(PreconditionError, match="batches"):
+        nonclassicality_witness(0.3, 2, 2, batches=batches)
+    with pytest.raises(PreconditionError, match="batches"):
+        divisibility_witness(0.5, 4, 1.0, batches=batches)
 
 
 @pytest.mark.parametrize("batches", [3, 5])

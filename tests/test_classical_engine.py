@@ -26,9 +26,10 @@ from multiport import (
     fixed_source,
     ftm,
     mc_estimate_gbar,
+    nonclassicality_witness,
     pseudo_thermal_source,
 )
-from multiport.bounds import student_t_two_sided
+from multiport.bounds import T_TAIL, student_t_two_sided
 from multiport.report import DEFAULT_BATCHES, assemble_report, batch_sizes, batch_sums, report_from_batches
 
 
@@ -308,8 +309,11 @@ def test_mc_error_shrinks_as_root_shots():
 
 
 def test_mc_requires_two_shots():
-    with pytest.raises(InsufficientSamplesError):
-        mc_estimate_gbar(hom_setup(), shots=1, seed=0)
+    # in each of two batches: a one-shot batch has the ratio 1 at every pair
+    for shots in (1, 3):
+        with pytest.raises(InsufficientSamplesError, match="2 batches of >= 2 shots"):
+            mc_estimate_gbar(hom_setup(), shots=shots, seed=0)
+    assert mc_estimate_gbar(hom_setup(), shots=4, seed=0).batches == 2
 
 
 def test_mc_refuses_a_seed_that_is_not_a_nonnegative_integer():
@@ -392,12 +396,12 @@ def test_internal_mode_rows_match_the_per_mode_vector_sum(monkeypatch, shape, fu
     sources = tuple(pseudo_thermal_source(0.5 + 0.1 * a) for a in range(shape[1]))
     setup = ClassicalSetup(transfer, sources, overlap=overlap)
     seen = record_fields(monkeypatch)
-    # batches of 1, 3 and 10^4 shots; the last spans several chunks at 16 sources
-    for shots, batches in [(3, 3), (9, 3), (20000, 2)]:
+    # batches of 2, 3 and 10^4 shots; the last spans several chunks at 16 sources
+    for shots, batches in [(6, 3), (9, 3), (20000, 2)]:
         mc_estimate_gbar(setup, shots, 5, batches)
     chunk = engine._chunk_shots(shape[1], len(engine._detection_rows(setup)), shape[0])
     lengths = [len(fields) for fields, _ in seen]
-    assert lengths[:6] == [1, 1, 1, 3, 3, 3]
+    assert lengths[:6] == [2, 2, 2, 3, 3, 3]
     assert lengths[6:] == 2 * ([chunk] * (10000 // chunk) + [10000 % chunk] * (10000 % chunk > 0))
     for fields, intensities in seen:
         np.testing.assert_allclose(intensities, per_mode_intensities(setup, fields), rtol=1e-12, atol=0)
@@ -706,7 +710,8 @@ def test_peak_memory_does_not_grow_with_shots():
 def binomial_band(n, p, tail):
     """The counts (low, high) outside which Binomial(n, p) lies with
     probability at most ``tail`` on each side."""
-    pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+    logs = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in range(n + 1)]
+    pmf = [math.exp(c + k * math.log(p) + (n - k) * math.log1p(-p)) for k, c in enumerate(logs)]
     cdf = np.cumsum(pmf)
     return int(np.searchsorted(cdf, tail, side="right")), int(np.searchsorted(cdf, 1 - tail))
 
@@ -719,6 +724,7 @@ def test_student_t_tail_matches_known_values():
 
 
 CALIBRATION_SEEDS = 200
+CERTIFICATE_SEEDS = 2000
 
 
 @pytest.mark.parametrize("batches", [20, 100])
@@ -739,6 +745,21 @@ def test_mc_misses_by_three_stderr_at_the_student_t_rate(kind, batches):
     )
     low, high = binomial_band(CALIBRATION_SEEDS, student_t_two_sided(3.0, batches - 1), 1e-4)
     assert low <= misses <= high
+
+
+def test_mc_at_the_bound_certifies_at_the_nominal_rate():
+    # Classical HOM sits exactly at the bound 1/2, so every certificate is
+    # false. 100 shots in the default 100 batches were cut into batches of one
+    # shot, whose stderr is 0: 947 of 2,000 seeds certified. In 50 batches of
+    # two shots the rule's one-sided tail is T_TAIL = 1.35e-3, 2.7 seeds; the
+    # count leaves its band, 0..11, with probability below 1e-4.
+    hom = hom_setup()
+    certified = sum(
+        nonclassicality_witness(mc_estimate_gbar(hom, 100, seed), 2, 2).classification == "nonclassical"
+        for seed in range(CERTIFICATE_SEEDS)
+    )
+    low, high = binomial_band(CERTIFICATE_SEEDS, T_TAIL, 1e-4)
+    assert low <= certified <= high
 
 
 # ----------------------------------------------------------- serial reference
@@ -820,15 +841,16 @@ def bit_identity_setups():
     }
 
 
-# (shots, batches): fewer shots than batches, one-shot batches, uneven sizes,
-# and batches of several chunks
-SHOT_LAYOUTS = [(3, 5), (9, 9), (1001, 7), (20003, 10), (30001, 2)]
+# (shots, batches): two-shot batches, fewer shots than two per batch (9 shots
+# make 4 batches), uneven sizes, and batches of several chunks
+SHOT_LAYOUTS = [(8, 4), (9, 9), (1001, 7), (20003, 10), (30001, 2)]
 
 
-def test_shot_layouts_cover_uneven_one_shot_and_multi_chunk_batches():
+def test_shot_layouts_cover_uneven_two_shot_and_multi_chunk_batches():
     layouts = [batch_sizes(*layout) for layout in SHOT_LAYOUTS]
     assert any(len(set(sizes)) > 1 for sizes in layouts)
-    assert any(np.all(sizes == 1) for sizes in layouts)
+    assert any(np.all(sizes == 2) for sizes in layouts)
+    assert any(len(sizes) < batches for sizes, (_, batches) in zip(layouts, SHOT_LAYOUTS))
     for setup in bit_identity_setups().values():
         chunk = engine._chunk_shots(setup.n_sources, len(engine._detection_rows(setup)), setup.n_detectors)
         assert any(sizes[0] > chunk for sizes in layouts)

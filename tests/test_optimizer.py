@@ -8,6 +8,7 @@ from conftest import random_psi_configuration
 from optimizer_reference import (
     CHECK_TOL,
     DETECTORS,
+    MAX_ITERS,
     RESTARTS,
     SEEDS,
     SOURCES,
@@ -76,14 +77,14 @@ def test_objective_matches_classical_engine(rng):
 def test_objective_respects_bound_on_random_configs(rng):
     for _ in range(1000):
         config = random_psi_configuration(rng)
-        bound = classical_min(config.dimension, config.n_vectors)
+        bound = classical_min(config.vectors.shape[1], config.vectors.shape[0])
         assert gbar_objective(config) >= bound - 1e-9
 
 
 def test_objective_invariant_under_coordinate_phases(rng):
     for _ in range(20):
         config = random_psi_configuration(rng)
-        theta = rng.uniform(0, 2 * np.pi, config.dimension)
+        theta = rng.uniform(0, 2 * np.pi, config.vectors.shape[1])
         rotated = PsiConfiguration(config.vectors * np.exp(1j * theta))
         assert gbar_objective(rotated) == pytest.approx(gbar_objective(config), abs=1e-12)
 
@@ -181,11 +182,8 @@ def test_minimize_validation():
         minimize_classical_gbar(2, 1, restarts=1, seed=0)
     with pytest.raises(DimensionError):
         minimize_classical_gbar(0, 3, restarts=1, seed=0)
-    # a negative cap never matched an iteration count, so the restarts ran to convergence
-    with pytest.raises(DimensionError, match="max_iters"):
-        multistart_minimize(2, 3, restarts=2, seed=0, max_iters=-1)
-    with pytest.raises(DimensionError, match="max_iters"):
-        minimize_classical_gbar(2, 3, restarts=1, seed=0, max_iters=-1)
+    with pytest.raises(DimensionError, match="restarts"):
+        multistart_minimize(2, 3, restarts=0, seed=0)
 
 
 @pytest.mark.parametrize("seed", [None, True, -1, 1.5])
@@ -201,16 +199,15 @@ def test_minimize_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
     [
         {"restarts": True},
         {"restarts": 2.5},
-        {"max_iters": 2.5},
-        {"max_iters": False},
+        {"restarts": "2"},
+        {"n_detectors": True},
         {"n_sources": 2.5},
         {"n_detectors": 3.0},
         {"n_sources": None},
     ],
 )
 def test_minimize_refuses_counts_that_are_not_integers(count):
-    # restarts=True ran one restart and max_iters=2.5 was accepted; the
-    # other floats raised a bare TypeError
+    # restarts=True ran one restart; the floats raised a bare TypeError
     name = next(iter(count))
     with pytest.raises(PreconditionError, match=f"{name} must be an integer"):
         multistart_minimize(**{"n_sources": 2, "n_detectors": 3, "restarts": 2, "seed": 0, **count})
@@ -218,8 +215,8 @@ def test_minimize_refuses_counts_that_are_not_integers(count):
 
 def test_minimize_takes_numpy_integer_counts():
     counts = (np.int64(2), np.int32(3))
-    numpy_counts = multistart_minimize(*counts, restarts=np.int64(3), seed=4, max_iters=np.int64(50))
-    python_counts = multistart_minimize(2, 3, restarts=3, seed=4, max_iters=50)
+    numpy_counts = multistart_minimize(*counts, restarts=np.int64(3), seed=4)
+    python_counts = multistart_minimize(2, 3, restarts=3, seed=4)
     assert numpy_counts.restart_values == python_counts.restart_values
 
 
@@ -238,14 +235,15 @@ def start_values(n, m, restarts, seed):
     return optimizer._value_and_gradient(np.stack(reference_starts(n, m, restarts, seed)))[0]
 
 
-def assert_reaches_reference(n, m, restarts, seed, expected, max_iters=2000):
-    """The contract of the descent against the reference's restart values."""
-    result = multistart_minimize(n, m, restarts=restarts, seed=seed, max_iters=max_iters)
+def assert_reaches_reference(n, m, restarts, seed, expected):
+    """The contract of the descent, under its cap of optimizer.MAX_STEPS
+    steps, against the reference's restart values."""
+    result = multistart_minimize(n, m, restarts=restarts, seed=seed)
     values, bound = np.array(result.restart_values), classical_min(n, m)
     assert np.all(values >= bound - 1e-12)
     assert np.all(values <= start_values(n, m, restarts, seed))
-    assert all(0 <= k <= max_iters for k in result.iterations)
-    if max_iters == 2000:
+    assert all(0 <= k <= optimizer.MAX_STEPS for k in result.iterations)
+    if optimizer.MAX_STEPS == MAX_ITERS:
         assert abs(result.value - bound) <= 1e-9
         assert result.value <= min(expected) + 1e-9
     return result
@@ -257,6 +255,11 @@ def test_batched_descent_matches_reference_on_bound_grid(seed):
     for n in SOURCES:
         for m in DETECTORS:
             assert_reaches_reference(n, m, RESTARTS, seed, GOLDEN[key(n, m, seed)])
+
+
+def test_the_golden_file_caps_the_descent_at_its_step_limit():
+    # the golden minima are the reference's after MAX_ITERS steps
+    assert optimizer.MAX_STEPS == MAX_ITERS
 
 
 def test_golden_minima_match_the_live_reference():
@@ -275,7 +278,9 @@ def test_golden_minima_match_the_live_reference():
 )
 def test_batched_descent_matches_reference_property(n, m, restarts, seed, max_iters):
     expected = reference_restart_values(n, m, restarts, seed, max_iters)
-    result = assert_reaches_reference(n, m, restarts, seed, expected, max_iters)
+    with pytest.MonkeyPatch.context() as patch:  # a function-scoped fixture outlives the examples
+        patch.setattr(optimizer, "MAX_STEPS", max_iters)
+        result = assert_reaches_reference(n, m, restarts, seed, expected)
     assert check_frame_inequalities(result.argmin).holds
     assert abs(gbar_objective(result.argmin) - result.value) <= 1e-12
     if max_iters == 0:
@@ -283,11 +288,12 @@ def test_batched_descent_matches_reference_property(n, m, restarts, seed, max_it
 
 
 @pytest.mark.parametrize("n,m,seed", [(4, 2, 1), (5, 2, 1), (2, 2, 2), (4, 3, 0)])
-def test_accepted_values_pass_the_nonmonotone_test(caplog, n, m, seed):
+def test_accepted_values_pass_the_nonmonotone_test(caplog, monkeypatch, n, m, seed):
     # each accepted value is at most the largest of the NONMONOTONE values
     # before it, the start included, so none is above the start
     caplog.set_level(logging.DEBUG, logger="multiport.optimizer")
-    multistart_minimize(n, m, restarts=4, seed=seed, max_iters=300)
+    monkeypatch.setattr(optimizer, "MAX_STEPS", 300)
+    multistart_minimize(n, m, restarts=4, seed=seed)
     rows = np.array([line.split("\t") for line in trace_lines(caplog)], dtype=float)
     for restart, start in enumerate(start_values(n, m, 4, seed)):
         history = [start, *rows[rows[:, 0] == restart, 2]]
@@ -356,7 +362,7 @@ def test_restart_at_its_minimum_retires_after_its_first_kernel_call(monkeypatch)
         for m in DETECTORS:
             calls.clear()
             start = optimal_configuration(n, m).vectors[None]
-            value, point, steps, _ = optimizer._descend(start, 2000, False)
+            value, point, steps, _ = optimizer._descend(start, False)
             assert len(calls) == 1
             assert steps[0] == 0 and np.array_equal(point, start)
             assert value[0] == pytest.approx(classical_min(n, m), abs=1e-12)
@@ -389,14 +395,15 @@ def test_trace_is_restart_major_and_reproducible(caplog):
     assert [int(row[0]) for row in rows] == sorted(int(row[0]) for row in rows)
 
 
-def test_multistart_diagnostics():
-    result = multistart_minimize(4, 4, restarts=8, seed=3, max_iters=500)
+def test_multistart_diagnostics(monkeypatch):
+    monkeypatch.setattr(optimizer, "MAX_STEPS", 500)
+    result = multistart_minimize(4, 4, restarts=8, seed=3)
     assert len(result.restart_values) == len(result.iterations) == 8
     assert all(0 <= k <= 500 for k in result.iterations)
     assert result.value == result.restart_values[result.best_restart] == min(result.restart_values)
     assert result.best_restart == result.restart_values.index(result.value)
     assert 0.0 <= result.gradient_norm < 1e-3
-    value, config = minimize_classical_gbar(4, 4, restarts=8, seed=3, max_iters=500)
+    value, config = minimize_classical_gbar(4, 4, restarts=8, seed=3)
     assert value == result.value
     assert np.array_equal(config.vectors, result.argmin.vectors)
 
@@ -458,7 +465,7 @@ def test_frame_inequalities_single_vector():
 
 def test_ties_between_blocks_go_to_the_lower_restart(monkeypatch):
     # every block's best value is exactly equal, so the first block must win
-    def flat_descend(p, max_iters, record):
+    def flat_descend(p, record):
         return np.zeros(len(p)), p, np.zeros(len(p), dtype=int), [[] for _ in p]
 
     monkeypatch.setattr(optimizer, "RESTART_BLOCK", 2)

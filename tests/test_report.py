@@ -3,15 +3,17 @@ import pytest
 
 from multiport import (
     ClassicalSetup,
+    ClassicalSource,
     ShotRecord,
     classical_gbar,
     correlation_report_from_records,
     fixed_source,
     ftm,
     mc_estimate_gbar,
+    random_unitary,
 )
-from multiport import DegenerateSetupError, InsufficientSamplesError
-from multiport.report import CorrelationReport, batch_stderr, batch_sums, report_from_batches
+from multiport import DegenerateSetupError
+from multiport.report import CorrelationReport, batch_sums, report_from_batches
 
 
 def sample_report():
@@ -30,8 +32,10 @@ def test_dict_round_trips_through_json():
 
 
 def test_gbar_must_match_ratio_mean():
-    # a non-finite gbar is refused too: NaN compares unequal to everything
-    for ratio, gbar in [(0.5, 0.9), (float("nan"), float("nan")), (float("inf"), float("inf"))]:
+    # a non-finite gbar is refused too: NaN compares unequal to everything;
+    # near 1e5 the tolerance is relative, 1e-12 of gbar
+    nan, inf = float("nan"), float("inf")
+    for ratio, gbar in [(0.5, 0.9), (1e5, 1e5 * (1 + 1e-10)), (nan, nan), (inf, inf)]:
         with pytest.raises(ValueError):
             CorrelationReport(
                 detectors=(0, 1),
@@ -41,6 +45,16 @@ def test_gbar_must_match_ratio_mean():
                 gbar=gbar,
                 provenance="analytic",
             )
+
+
+def test_large_ratios_match_their_mean_to_relative_rounding():
+    # ratios near 1e5, whose pairwise and sequential sums differ by 1.5e-11:
+    # an absolute 1e-12 refused this valid report with a bare ValueError
+    rare = ClassicalSource([1 - 1e-6, 1e-6], [0.0, 1.0])
+    report = classical_gbar(ClassicalSetup(random_unitary(8, 3).matrix, (rare,) * 8))
+    ratios = [r for _, _, r in report.pair_ratios]
+    assert report.gbar > 1e5
+    assert report.gbar == pytest.approx(sum(ratios) / len(ratios), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -72,18 +86,10 @@ def test_measured_report_from_records():
     assert {(i, j) for i, j, _ in report.pair_ratios} == {(0, 1)}
 
 
-def test_batch_stderr_needs_two_batches():
-    with pytest.raises(InsufficientSamplesError):
-        batch_stderr([0.5])
-    with pytest.raises(InsufficientSamplesError):
-        batch_stderr([])
-    assert batch_stderr([0.4, 0.6]) == pytest.approx(0.1, abs=1e-15)
-
-
 def test_batch_reports_record_their_batch_count():
     setup = ClassicalSetup(ftm(3).matrix, tuple(fixed_source(1.0) for _ in range(3)))
-    # 30 shots in 50 batches: min(batches, shots) batches of one shot
-    assert mc_estimate_gbar(setup, shots=30, seed=1, batches=50).batches == 30
+    # 30 shots in 50 batches: min(batches, shots // 2) batches of two shots
+    assert mc_estimate_gbar(setup, shots=30, seed=1, batches=50).batches == 15
     report = mc_estimate_gbar(setup, shots=3000, seed=1, batches=7)
     assert report.batches == 7 and report.to_dict()["batches"] == 7
     records = [ShotRecord(k, [1.0 + k % 3, 2.0, 1.5]) for k in range(120)]

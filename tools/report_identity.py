@@ -7,7 +7,9 @@ modes, drawn from the seed as that workload draws them, and its two
 ``FAULTY`` configs) are written to a scratch directory, with three configs
 whose interferometer is a matrix file: a 3x3 unitary for ``quantum`` and
 ``oracle`` and a 2x3 transfer map for ``classical-analytic``, drawn from a
-stream of the seed of their own. Each config then runs
+stream of the seed of their own, and a ``classical-mc`` config of 100 shots
+in the default batches, which the sampler cuts into batches of two shots.
+Each config then runs
 as ``python -m multiport --config NAME.json --out NAME.out.json`` in a fresh
 process, once with this checkout's ``src/`` and once with the baseline's on
 ``PYTHONPATH``. The two runs must give the same exit code, standard output,
@@ -75,14 +77,21 @@ def file_configs(seed: int, workdir: Path) -> dict[str, dict]:
 
 
 def write_configs(seed: int, workdir: Path) -> list[str]:
-    """Write the cli workload's configs and the file configs for ``seed``;
-    returns their names."""
+    """Write the cli workload's configs, the file configs and the two-shot
+    batch config for ``seed``; returns their names."""
     from cli_workload import FAULTY, configs
 
     rng = np.random.default_rng([seed, 4])
     cfgs = {name: {"mode": name, **cfg} for name, cfg in configs(rng, workdir).items()}
     cfgs.update(FAULTY)
     cfgs.update(file_configs(seed, workdir))
+    cfgs["classical-mc-two-shot-batches"] = {
+        "mode": "classical-mc",
+        "interferometer": {"ftm": 2},
+        "sources": [{"kind": "fixed", "amplitude": 1}, {"kind": "fixed", "amplitude": 1}],
+        "shots": 100,
+        "seed": seed,
+    }
     for name, cfg in cfgs.items():
         (workdir / f"{name}.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
     return list(cfgs)
