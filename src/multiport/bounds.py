@@ -62,9 +62,7 @@ def _check_eta(eta: float) -> None:
     if not math.isfinite(eta):
         raise InvalidStatisticsError(f"eta must be finite, got {eta!r}")
     if eta > 1.0:
-        raise InvalidStatisticsError(
-            f"eta = {eta!r} > 1 is impossible for integer photon numbers"
-        )
+        raise InvalidStatisticsError(f"eta = {eta!r} > 1 is impossible for integer photon numbers")
 
 
 def symmetric_quantum_min(n_detectors: int, eta: float) -> float:

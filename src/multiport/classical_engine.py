@@ -126,24 +126,14 @@ def classical_gbar(setup) -> CorrelationReport:
     )
 
 
-# A phase is the turn k / 2^24 below a draw u, k = floor(2^24 u), and its
-# phasor _COARSE[k >> 12] * _FINE[k & 4095] (Tang, ARITH 10, 1991). Phases
-# uniform on the 2^24-th roots of unity have the moments of continuous ones
-# below order 2^24, as sums of roots of unity vanish; the estimator's means
-# and variances are of order at most four in each phasor.
-_GRID = np.float64(2**24)
-_FINE_BITS = 12
-
-
-def _turn_tables() -> tuple[np.ndarray, np.ndarray]:
-    """exp(2 pi i j / 2^12) and exp(2 pi i j / 2^24) for j < 2^12: the
-    coarse turns' first quadrant from numpy, the rest by exact rotations."""
-    quadrant = np.exp(2j * np.pi / 2**_FINE_BITS * np.arange(2**_FINE_BITS // 4))
-    fine = np.exp(2j * np.pi / _GRID * np.arange(2**_FINE_BITS))
-    return np.concatenate([quadrant, 1j * quadrant, -quadrant, -1j * quadrant]), fine
-
-
-_COARSE, _FINE = _turn_tables()
+# A phase is the turn k / 4096 below a draw u, k = floor(4096 u), and its
+# phasor _TURNS[k]: the first quadrant from numpy, the rest by exact
+# rotations, so the quarter turns are exactly 1, i, -1, -i. Phases uniform on
+# the 4096-th roots of unity have the moments of continuous ones below order
+# 4096, as sums of roots of unity vanish; the estimator's means are of order
+# two in each phasor and its variances of order four.
+_QUADRANT = np.exp(2j * np.pi / 4096 * np.arange(1024))
+_TURNS = np.concatenate([_QUADRANT, 1j * _QUADRANT, -_QUADRANT, -1j * _QUADRANT])
 
 # Draws per stream in one chunk. A thread's workspace holds seven chunks of
 # draws, whatever the shots; smaller chunks pay more per numpy call.
@@ -157,18 +147,15 @@ def _chunk_shots(n: int, rows: int, m: int) -> int:
     return max(1, min(_CHUNK_DRAWS // n, 4 * _CHUNK_DRAWS // (2 * rows + m)))
 
 
-def _phasors(u: np.ndarray, index: np.ndarray, fine: np.ndarray, z: np.ndarray) -> None:
+def _phasors(u: np.ndarray, index: np.ndarray, z: np.ndarray) -> None:
     """Write the table phasors of the draws ``u`` (shots x n, consumed) to
-    the rows ``z`` (n x shots), with int64 and complex scratch ``index`` and
-    ``fine`` of ``z``'s shape. The turns are cast from ``u`` transposed, so
-    every later pass is contiguous; ``u``'s memory takes their coarse part."""
-    u *= _GRID
-    np.copyto(index, u.T, casting="unsafe")  # truncation is floor: u >= 0
-    coarse = u.view(np.int64).reshape(index.shape)
-    np.right_shift(index, _FINE_BITS, out=coarse)
-    index &= 2**_FINE_BITS - 1
-    _COARSE.take(coarse, out=z, mode="clip")
-    z *= _FINE.take(index, out=fine, mode="clip")
+    the rows ``z`` (n x shots), with int64 scratch ``index`` of ``z``'s
+    shape. The turns are cast from ``u`` transposed, so every later pass is
+    contiguous; the scaling is exact and faster than a cast that multiplies,
+    and the cast's truncation is floor."""
+    u *= _TURNS.size
+    np.copyto(index, u.T, casting="unsafe")
+    _TURNS.take(index, out=z, mode="clip")
 
 
 def _alias_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,11 +255,11 @@ def _workspace(chunk: int, n: int, rows: int, m: int):
     """Views for one thread's chunks of up to ``chunk`` shots, by chunk size,
     into one array of seven regions of draws. The complex fields z (n x
     shots) take the first two and the ones of the intensity sums the last.
-    The four between are scratch: of the phases' draws (then coarse turns),
-    turns and fine phasors; of the picks' draws (then cells and flags),
-    transposed draws, int64 cells and amplitudes; and of propagation's
-    ``rows`` complex amplitudes, then ``m`` intensities, and the
-    intensities' copy for their Gram, which reuses the amplitudes' memory.
+    The four between are scratch: of the phases' draws and int64 turns; of
+    the picks' draws (then cells and flags), transposed draws, int64 cells
+    and amplitudes; and of propagation's ``rows`` complex amplitudes, then
+    ``m`` intensities, and the intensities' copy for their Gram, which
+    reuses the amplitudes' memory.
 
     Each region takes _CHUNK_DRAWS draws however few a chunk needs, so every
     estimate allocates the same size, and the next estimate reuses the block
@@ -299,7 +286,7 @@ def _workspace(chunk: int, n: int, rows: int, m: int):
             fields, phased = (n, shots), (n - 1, shots)  # the draws are shot-major
             cache[shots] = (
                 at(0, fields, complex),
-                (at(2 * r, phased[::-1]), at(3 * r, phased, np.int64), at(4 * r, phased, complex)),
+                (at(2 * r, phased[::-1]), at(3 * r, phased, np.int64)),
                 (at(2 * r, fields[::-1]), at(3 * r, fields), at(5 * r, fields), at(4 * r, fields, np.int64)),
                 (at(2 * r, (rows, shots), complex), at(2 * r + 2 * rows * shots, (m, shots))),
                 (ones[:shots], at(2 * r, (m, shots)).T),
@@ -327,13 +314,13 @@ def mc_estimate_gbar(
 
     The intensities depend only on the phases relative to one source, so
     source 0 keeps phase 0 and source a >= 1 of shot s takes draw
-    s (N - 1) + a - 1 of a PCG64 phase stream, as its turn on the 2^24-point
+    s (N - 1) + a - 1 of a PCG64 phase stream, as its turn on the 4096-point
     grid (:func:`_phasors`). Draw s N + a of a pick stream, drawn only when
     some source has several levels, picks source a's amplitude from its alias
     table; row 0 of the fields is thus source 0's amplitude, or 1 where it is
     folded into the detection rows. A chunk's fields are the N rows of a
     complex view of the thread's workspace, and one complex GEMM takes them
-    to the detected amplitudes: 17 numpy calls for fixed sources, 29 with
+    to the detected amplitudes: 13 numpy calls for fixed sources, 25 with
     picks, all contiguous but the draws' transposing passes and the last add.
 
     A batch is summed in chunks of :func:`_chunk_shots` shots, in order, and

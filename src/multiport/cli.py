@@ -250,11 +250,7 @@ def _run_divisibility(fields: _Fields) -> tuple[dict, list[str]]:
     shared_eta = eta(setup.stats[0])
     rep = quantum_gbar(setup)
     verdict = bounds.divisibility_witness(rep, setup.n_modes, shared_eta)
-    results = {
-        "correlations": rep.to_dict(),
-        "eta": shared_eta,
-        "witness": verdict.to_dict(),
-    }
+    results = {"correlations": rep.to_dict(), "eta": shared_eta, "witness": verdict.to_dict()}
     summary = [f"gbar = {rep.gbar:.12g} (eta = {shared_eta:.6g})", verdict.one_line()]
     return results, summary
 

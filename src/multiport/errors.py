@@ -72,10 +72,17 @@ def check_counts(n_sources, n_detectors) -> tuple[int, int]:
     return n_sources, n_detectors
 
 
+def check_real(value, name: str) -> float:
+    """``value`` as a float, if it is a real number: Python's or numpy's, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise PreconditionError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def check_energy_scale(scale) -> None:
     """An energy scale multiplies every intensity: it must be positive and finite."""
-    if not 0 < scale < math.inf:
-        raise DimensionError(f"energy scale must be positive and finite, got {scale!r}")
+    if not 0 < check_real(scale, "energy_scale") < math.inf:
+        raise DimensionError(f"energy_scale must be positive and finite, got {scale!r}")
 
 
 def check_seed(seed) -> int:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_engine import classical_gbar
-from .errors import DegenerateSetupError, DimensionError, OracleLimitError
-from .errors import check_detectors, check_energy_scale, check_integer
+from .errors import DegenerateSetupError, DimensionError, OracleLimitError, PreconditionError
+from .errors import check_detectors, check_energy_scale, check_integer, check_real
 from .interferometer import UnitaryMatrix
 from .report import CorrelationReport, active_positions, assemble_report
 from .sources import PhotonStatistics
@@ -142,9 +142,12 @@ def oracle_gbar(
     kept configurations and the pruned probability mass. Fock inputs keep one
     configuration, with probability 1: the oracle of that pure state. When
     pruning leaves fewer than two of the detectors that the setup lights
-    receiving light, it raises :class:`OracleLimitError` naming ``prune_tol``.
+    receiving light, it raises :class:`OracleLimitError` naming ``prune_tol``;
+    a ``prune_tol`` that is not a finite real >= 0 raises ``PreconditionError``.
     """
     photon_limit = check_integer(photon_limit, "photon_limit")
+    if not 0 <= (prune_tol := check_real(prune_tol, "prune_tol")) < np.inf:
+        raise PreconditionError(f"prune_tol must be finite and >= 0, got {prune_tol!r}")
     det, m = setup.detectors, setup.n_modes
     upper, modes = np.triu_indices(len(det), 1), np.triu_indices(m, 1)
     means, products, pruned, kept = np.zeros(len(det)), np.zeros((len(det),) * 2), 0.0, 0

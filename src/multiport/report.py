@@ -11,6 +11,7 @@ share one batch estimator, :func:`report_from_batches`.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +39,8 @@ class CorrelationReport:
 
     ``detectors`` lists the monitored output indices (aligned with
     ``intensity_means``); ``active_detectors`` is the subset that survived
-    exclusion, and ``pair_ratios`` holds (i, j, ratio) for active i < j.
+    exclusion, and ``pair_ratios`` holds (i, j, ratio) for every pair of
+    active detectors, in ``itertools.combinations`` order, else ValueError.
     ``gbar`` is the arithmetic mean of the ratios. The fields that default to
     ``None`` are deterministic diagnostics, written only when set: ``shots``
     and ``batches`` count the shots and batches behind a batch-means
@@ -65,6 +67,11 @@ class CorrelationReport:
         ratios = [r for _, _, r in self.pair_ratios]
         if not ratios:
             raise DegenerateSetupError("a report needs at least one detector pair")
+        # the witnesses read M from the active detectors: the ratios must be of all their pairs
+        pairs, active = [(i, j) for i, j, _ in self.pair_ratios], self.active_detectors
+        known = set(active) <= set(self.detectors) and len(self.intensity_means) == len(self.detectors)
+        if not known or pairs != list(combinations(active, 2)):
+            raise ValueError("a report needs one mean per detector and the ratios of all active pairs")
         # relative: numpy's pairwise mean and this sum round large ratios apart; NaN fails too
         if not abs(self.gbar - sum(ratios) / len(ratios)) <= 1e-12 * max(1.0, abs(self.gbar)):
             raise ValueError("gbar must be finite and equal the mean of the pair ratios")

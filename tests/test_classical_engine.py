@@ -500,10 +500,13 @@ def test_a_two_point_phase_grid_misses():
 # ----------------------------------------------------------- draw rule
 
 
+GRID = 4096  # the turns of the engine's phase table
+
+
 def run_phasors(u):
     """The engine's phasors of the draws u (shots x n), as rows (n x shots)."""
     z = np.empty(u.T.shape, complex)
-    engine._phasors(u.copy(), np.empty(z.shape, np.int64), np.empty(z.shape, complex), z)
+    engine._phasors(u.copy(), np.empty(z.shape, np.int64), z)
     return z
 
 
@@ -519,22 +522,13 @@ def quadrant_reduced(u):
     return cos, sin
 
 
-def grid_edge_indices():
-    """The first, second and last fine turn of every coarse turn, and the
-    turns next to the quarter turns."""
-    starts = np.arange(0, 2**24, 2**12)
-    quarters = np.arange(4) * 2**22
-    near = np.concatenate([quarters - 1, quarters + 1]) % 2**24
-    return np.unique(np.concatenate([starts, starts + 1, starts + 2**12 - 1, near]))
-
-
 @pytest.mark.parametrize("draws", ["philox", "edges"])
 def test_table_phasors_match_numpy(draws):
-    # 10^6 random turns of the 2^24-point grid, or its edge turns
+    # 10^6 random turns of the 4096-point grid, or every turn once
     if draws == "philox":
-        k = np.random.Generator(np.random.Philox(8)).integers(0, 2**24, 10**6)
+        k = np.random.Generator(np.random.Philox(8)).integers(0, GRID, 10**6)
     else:
-        k = grid_edge_indices()
+        k = np.arange(GRID)
     u = k / GRID  # exact: the draw of turn k
     z = run_phasors(u[:, None])[0]
     assert np.max(np.abs(z.real - np.cos(2 * np.pi * u))) <= 1e-15
@@ -549,20 +543,19 @@ def test_table_phasors_match_numpy(draws):
 
 
 def test_a_draw_takes_the_grid_turn_below_it():
-    k = grid_edge_indices()
+    k = np.arange(GRID)
     u = np.concatenate([[1.0 - 2.0**-53, 2.0**-53], k / GRID, np.nextafter(k / GRID, 1.0)])
     below = np.nextafter(k[k > 0] / GRID, 0.0)  # in the turn before k
     assert np.array_equal(run_phasors(u[:, None])[0], reference_phasors(u))
     assert np.array_equal(run_phasors(below[:, None])[0], run_phasors((k[k > 0] - 1)[:, None] / GRID)[0])
-    assert run_phasors(np.array([[1.0 - 2.0**-53]]))[0, 0] == reference_phasors(np.array([1.0 - 1 / GRID]))[0]
+    assert run_phasors(np.array([[1.0 - 2.0**-53]]))[0, 0] == engine._TURNS[4095]
     # a chunk of several sources: row a holds column a of the draws
     u = np.random.Generator(np.random.Philox(9)).random((7, 3))
     assert np.array_equal(run_phasors(u), reference_phasors(u).T)
 
 
 def test_turn_table_is_exact_at_the_quarter_turns():
-    assert list(engine._COARSE[:: 2**10]) == [1, 1j, -1, -1j]
-    assert engine._FINE[0] == 1
+    assert list(engine._TURNS[:: 2**10]) == [1, 1j, -1, -1j]
     assert list(run_phasors(np.array([[0.0], [0.25], [0.5], [0.75]]))[0]) == [1, 1j, -1, -1j]
 
 
@@ -592,14 +585,13 @@ def complex_fsum(z):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_grid_phasors_have_the_moments_of_a_uniform_phase(m):
-    # z_k = COARSE[k >> 12] FINE[k & 4095] over the 2^24 turns k, so the sum
-    # of z_k^m is the product of the two tables' sums of m-th powers; for a
-    # uniform phase E z^m = 0 at 0 < m < 2^24, and the coarse sum vanishes
-    coarse, fine = np.ones(2**12, complex), np.ones(2**12, complex)
+    # for a uniform phase E z^m = 0 at 0 < m < 4096: the sum of the table's
+    # m-th powers vanishes to rounding, so the means (order 2) and the
+    # variances (order 4) of the estimator are those of continuous phases
+    z = np.ones(GRID, complex)
     for _ in range(m):
-        coarse *= engine._COARSE
-        fine *= engine._FINE
-    assert abs(complex_fsum(coarse)) * abs(complex_fsum(fine)) <= 1e-9
+        z *= engine._TURNS
+    assert abs(complex_fsum(z)) <= 1e-12
 
 
 def implied_probabilities(q, alias):
@@ -772,18 +764,11 @@ def test_mc_at_the_bound_certifies_at_the_nominal_rate():
 # engine's detection rows, which the internal-mode tests check against the
 # vector sum.
 
-GRID = 2.0**24
-
 
 def reference_phasors(u):
-    """exp(2 pi i k / 2^24) of the grid turns k = floor(2^24 u) below the
-    draws u: a coarse turn times a fine one."""
-    k = np.floor(u * GRID).astype(np.int64)
-    # in place, as the engine: numpy's complex product fuses a multiply-add,
-    # but not in place on one element
-    z = engine._COARSE[k >> 12]
-    z *= engine._FINE[k & 4095]
-    return z
+    """exp(2 pi i k / 4096) of the grid turns k = floor(4096 u) below the
+    draws u, from the engine's table."""
+    return engine._TURNS[np.floor(u * GRID).astype(np.int64)]
 
 
 def reference_amplitudes(v, picks):

@@ -16,6 +16,7 @@ from multiport import (
     DimensionError,
     OracleLimitError,
     PhotonStatistics,
+    PreconditionError,
     QuantumSetup,
     TruncationError,
     UnitaryMatrix,
@@ -187,6 +188,15 @@ def test_setup_refuses_a_non_finite_energy_scale(scale):
         QuantumSetup(ftm(2), (fock(1),) * 2, energy_scale=scale)
 
 
+@pytest.mark.parametrize("scale", [True, np.bool_(True), "2", 2j, None])
+def test_setups_refuse_an_energy_scale_that_is_not_a_real(scale):
+    # True was taken as 1, and "2" raised a bare TypeError
+    with pytest.raises(PreconditionError, match="energy_scale"):
+        QuantumSetup(ftm(2), (fock(1),) * 2, energy_scale=scale)
+    with pytest.raises(PreconditionError, match="energy_scale"):
+        ClassicalSetup(ftm(2).matrix, (fixed_source(1.0),) * 2, energy_scale=scale)
+
+
 @pytest.mark.parametrize("detectors", [(0.5, 2), (0.0, 2.0), (True, 2), (np.bool_(False), 2)])
 def test_setup_refuses_detector_labels_that_are_not_integers(detectors):
     with pytest.raises(DimensionError, match="integers"):
@@ -284,12 +294,22 @@ def test_oracle_budget_and_validation():
         QuantumSetup(ftm(2), (fock(1), fock(1)), detectors=(1, 1))
 
 
-@pytest.mark.parametrize("prune_tol", [math.nan, math.inf, 0.3])
+@pytest.mark.parametrize("prune_tol", [0.3, 1])
 def test_oracle_blames_prune_tol_when_it_removed_the_light(prune_tol):
     # at these tolerances no configuration of three coherent inputs is kept
     setup = QuantumSetup(ftm(3), (coherent(0.5, 12),) * 3)
     with pytest.raises(OracleLimitError, match="prune_tol .* pruned probability mass"):
         oracle_gbar(setup, prune_tol=prune_tol)
+
+
+@pytest.mark.parametrize("prune_tol", [math.nan, math.inf, -math.inf, -1e-300, True, "x", None])
+def test_oracle_refuses_a_prune_tol_that_is_not_a_tolerance(prune_tol):
+    # NaN and inf pruned everything and then blamed the pruned mass; a string
+    # raised numpy's bare UFuncTypeError
+    setup = QuantumSetup(ftm(2), (coherent(0.5, 12),) * 2)
+    with pytest.raises(PreconditionError, match="prune_tol"):
+        oracle_gbar(setup, prune_tol=prune_tol)
+    assert oracle_gbar(setup, photon_limit=24, prune_tol=0).pruned_mass == 0
 
 
 def test_oracle_blames_a_dark_setup_not_prune_tol():

@@ -57,9 +57,26 @@ def test_large_ratios_match_their_mean_to_relative_rounding():
     assert report.gbar == pytest.approx(sum(ratios) / len(ratios), rel=1e-12, abs=0)
 
 
+EIGHT = {"detectors": tuple(range(8)), "intensity_means": np.ones(8), "active_detectors": tuple(range(8))}
+
+
 @pytest.mark.parametrize(
     "fields,error",
-    [({"provenance": "guessed"}, ValueError), ({"pair_ratios": (), "gbar": 0.0}, DegenerateSetupError)],
+    [
+        ({"provenance": "guessed"}, ValueError),
+        ({"pair_ratios": (), "gbar": 0.0}, DegenerateSetupError),
+        # one pair's ratio read against eight active detectors certified at M = 8
+        ({"active_detectors": tuple(range(8)), "pair_ratios": ((0, 1, 0.8),), "gbar": 0.8}, ValueError),
+        ({**EIGHT, "pair_ratios": ((0, 1, 0.8),), "gbar": 0.8}, ValueError),
+        ({"pair_ratios": ((1, 0, 0.5),)}, ValueError),
+        (
+            {**EIGHT, "active_detectors": (0, 1, 2), "pair_ratios": ((0, 2, 0.5), (0, 1, 0.5), (1, 2, 0.5))},
+            ValueError,
+        ),
+        ({"active_detectors": (0, 5), "pair_ratios": ((0, 5, 0.5),)}, ValueError),
+        ({"intensity_means": np.array([1.0])}, ValueError),
+        ({"intensity_means": np.ones(3)}, ValueError),
+    ],
 )
 def test_a_report_refuses_an_unknown_provenance_and_no_pairs(fields, error):
     report = {
