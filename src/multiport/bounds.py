@@ -11,12 +11,16 @@ corresponding property.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
-from .errors import InvalidStatisticsError, PreconditionError, check_counts, check_detectors, check_integer
-from .report import CorrelationReport
-from .sources import TAIL_TOL
+from .errors import TAIL_TOL, InvalidStatisticsError, PreconditionError
+from .errors import check_counts, check_detectors, check_integer, check_real
+
+if TYPE_CHECKING:
+    from .report import CorrelationReport
 
 # Certification requires the margin to exceed this many standard errors when
 # the stderr comes without a batch count. With b batches, margin / stderr at
@@ -58,11 +62,12 @@ def classical_min(n_sources: int, n_detectors: int) -> float:
     return 1.0 - 1.0 / n_detectors
 
 
-def _check_eta(eta: float) -> None:
-    if not math.isfinite(eta):
+def _check_eta(eta: float) -> float:
+    if not math.isfinite(eta := check_real(eta, "eta")):
         raise InvalidStatisticsError(f"eta must be finite, got {eta!r}")
     if eta > 1.0:
         raise InvalidStatisticsError(f"eta = {eta!r} > 1 is impossible for integer photon numbers")
+    return eta
 
 
 def symmetric_quantum_min(n_detectors: int, eta: float) -> float:
@@ -70,8 +75,7 @@ def symmetric_quantum_min(n_detectors: int, eta: float) -> float:
     1 - (1 + eta)/M, reached on the M-mode Fourier interferometer. It is the
     minimum over interferometers only for eta >= 0: super-Poissonian inputs
     go below it on other unitaries."""
-    n_detectors = check_detectors(n_detectors, "n_detectors")
-    _check_eta(eta)
+    n_detectors, eta = check_detectors(n_detectors, "n_detectors"), _check_eta(eta)
     return 1.0 - (1.0 + eta) / n_detectors
 
 
@@ -79,8 +83,7 @@ def divisibility_threshold(n_modes: int, eta: float) -> float:
     """Minimum pair average for an interferometer split into two independent
     blocks, fed with m identical inputs of the given eta and fully monitored:
     1 - (1 + eta)(m-2)/(m(m-1))."""
-    n_modes = check_detectors(n_modes, "n_modes")
-    _check_eta(eta)
+    n_modes, eta = check_detectors(n_modes, "n_modes"), _check_eta(eta)
     return 1.0 - (1.0 + eta) * (n_modes - 2) / (n_modes * (n_modes - 1))
 
 
@@ -146,14 +149,19 @@ def _verdict(
     n_detectors: int,
 ) -> WitnessVerdict:
     pruned_mass = None
-    if isinstance(gbar, CorrelationReport):
-        if stderr is not None or batches is not None:
-            raise PreconditionError("a report supplies its own stderr and batches")
-        # a threshold for more detectors than the report averaged is too lenient
-        active = len(gbar.active_detectors)
-        if n_detectors != active:
-            raise PreconditionError(f"the report has {active} active detectors, not {n_detectors}")
-        gbar, stderr, batches, pruned_mass = gbar.gbar, gbar.stderr, gbar.batches, gbar.pruned_mass
+    if not isinstance(gbar, numbers.Real):
+        from .report import CorrelationReport  # loaded already wherever a report exists
+
+        if isinstance(gbar, CorrelationReport):
+            if stderr is not None or batches is not None:
+                raise PreconditionError("a report supplies its own stderr and batches")
+            # a threshold for more detectors than the report averaged is too lenient
+            active = len(gbar.active_detectors)
+            if n_detectors != active:
+                raise PreconditionError(f"the report has {active} active detectors, not {n_detectors}")
+            gbar, stderr, batches, pruned_mass = gbar.gbar, gbar.stderr, gbar.batches, gbar.pruned_mass
+    gbar = check_real(gbar, "gbar")
+    stderr = None if stderr is None else check_real(stderr, "stderr")
     # a negative stderr would shrink the rule's band to BOUNDARY_MARGIN
     if not math.isfinite(gbar) or (stderr is not None and not 0 <= stderr < math.inf):
         raise PreconditionError(f"a verdict needs a finite gbar and stderr >= 0, got {gbar}, {stderr}")

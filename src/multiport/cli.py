@@ -15,10 +15,11 @@ import logging
 import math
 import sys
 
-import numpy as np
+# the package reads each engine's names on first use, so the modes that need
+# only the thresholds and the witnesses start without numpy
+import multiport as mp
 
 from . import bounds
-from .classical_engine import ClassicalSetup, classical_gbar, mc_estimate_gbar
 from .errors import (
     ConfigError,
     DimensionError,
@@ -26,29 +27,6 @@ from .errors import (
     MatrixValidationError,
     MultiportError,
     PreconditionError,
-)
-from .ingestion import correlation_report_from_records, read_shot_records
-from .interferometer import UnitaryMatrix, direct_sum, ftm, load_matrix, random_unitary
-from .optimizer import multistart_minimize
-from .quantum_engine import (
-    DEFAULT_PHOTON_LIMIT,
-    DEFAULT_PRUNE_TOL,
-    QuantumSetup,
-    oracle_gbar,
-    quantum_gbar,
-)
-from .report import DEFAULT_BATCHES
-from .sources import (
-    ClassicalSource,
-    OverlapMatrix,
-    PhotonStatistics,
-    coherent,
-    eta,
-    fixed_source,
-    fock,
-    pseudo_thermal_source,
-    squeezed_vacuum,
-    thermal,
 )
 
 EXIT_OK = 0
@@ -142,65 +120,68 @@ def _floats(value) -> list:
     return [_floats(v) for v in value] if isinstance(value, list) else _real(value)
 
 
-def _realizations(record: _Fields) -> ClassicalSource:
-    pairs = np.array(record.read("realizations", _floats))
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
+def _realizations(record: _Fields) -> mp.ClassicalSource:
+    pairs = record.read("realizations", _floats)
+    if not isinstance(pairs, list) or not pairs or not all(
+        isinstance(p, list) and [type(v) for v in p] == [float, float] for p in pairs
+    ):
         raise ConfigError("realizations must be [probability, amplitude] pairs")
-    return ClassicalSource(pairs[:, 0], pairs[:, 1])
+    probabilities, amplitudes = zip(*pairs)
+    return mp.ClassicalSource(probabilities, amplitudes)
 
 
 # each source kind's builder, with the default cutoffs and quadrature levels
 _PHOTON_KINDS = {
-    "fock": lambda r: fock(r.read("n", _integer)),
-    "vacuum": lambda r: fock(0),
-    "coherent": lambda r: coherent(r.read("mean", _real), r.read("cutoff", _integer, 40)),
-    "thermal": lambda r: thermal(r.read("mean", _real), r.read("cutoff", _integer, 80)),
-    "squeezed": lambda r: squeezed_vacuum(r.read("r", _real), r.read("cutoff", _integer, 60)),
-    "custom": lambda r: PhotonStatistics(r.read("pmf", _floats)),
+    "fock": lambda r: mp.fock(r.read("n", _integer)),
+    "vacuum": lambda r: mp.fock(0),
+    "coherent": lambda r: mp.coherent(r.read("mean", _real), r.read("cutoff", _integer, 40)),
+    "thermal": lambda r: mp.thermal(r.read("mean", _real), r.read("cutoff", _integer, 80)),
+    "squeezed": lambda r: mp.squeezed_vacuum(r.read("r", _real), r.read("cutoff", _integer, 60)),
+    "custom": lambda r: mp.PhotonStatistics(r.read("pmf", _floats)),
 }
 _CLASSICAL_KINDS = {
-    "fixed": lambda r: fixed_source(r.read("amplitude", _real)),
-    "pseudo-thermal": lambda r: pseudo_thermal_source(
+    "fixed": lambda r: mp.fixed_source(r.read("amplitude", _real)),
+    "pseudo-thermal": lambda r: mp.pseudo_thermal_source(
         r.read("mean_intensity", _real), r.read("levels", _integer, 32)
     ),
     "custom": _realizations,
 }
 
 
-def _interferometer(spec: _Fields) -> np.ndarray:
+def _interferometer(spec: _Fields):
     """The matrix the interferometer ``{builder: argument}`` names; only a file may be non-unitary."""
     if len(spec.source) != 1:
         raise ConfigError(f"interferometer spec must name exactly one builder: {spec.source!r}")
     (kind,) = spec.source
     if kind == "ftm":
-        return ftm(spec.read("ftm", _integer)).matrix
+        return mp.ftm(spec.read("ftm", _integer)).matrix
     if kind == "random":
         args = spec.read("random", _Fields)
-        return random_unitary(args.read("dim", _integer), args.read("seed", _seed, 0)).matrix
+        return mp.random_unitary(args.read("dim", _integer), args.read("seed", _seed, 0)).matrix
     if kind == "direct_sum":
         parts = spec.read("direct_sum", _records)
         if len(parts) != 2:
             raise ConfigError("direct_sum takes a list of two interferometer specs")
-        return direct_sum(*(UnitaryMatrix(_interferometer(part)) for part in parts)).matrix
+        return mp.direct_sum(*(mp.UnitaryMatrix(_interferometer(part)) for part in parts)).matrix
     if kind == "file":
-        return load_matrix(spec.read("file", _text))
+        return mp.load_matrix(spec.read("file", _text))
     raise ConfigError(f"unknown interferometer builder {kind!r}")
 
 
-def _classical_setup(fields: _Fields) -> ClassicalSetup:
+def _classical_setup(fields: _Fields) -> mp.ClassicalSetup:
     transfer = _interferometer(fields.read("interferometer", _Fields))
     sources = tuple(r.build(_CLASSICAL_KINDS) for r in fields.read("sources", _records))
     overlap = fields.read("overlap", _Fields, None)
     if overlap is not None:
-        overlap = OverlapMatrix(load_matrix(overlap.read("file", _text)))
+        overlap = mp.OverlapMatrix(mp.load_matrix(overlap.read("file", _text)))
     energy = fields.read("energy_scale", _real, 1.0)
-    return ClassicalSetup(transfer, sources, overlap=overlap, energy_scale=energy)
+    return mp.ClassicalSetup(transfer, sources, overlap=overlap, energy_scale=energy)
 
 
-def _quantum_setup(fields: _Fields, broadcast: bool = False) -> QuantumSetup:
+def _quantum_setup(fields: _Fields, broadcast: bool = False) -> mp.QuantumSetup:
     """Sources padded with vacuum to the unitary's modes; with ``broadcast``,
     a single source record means the same state on every port."""
-    unitary = UnitaryMatrix(_interferometer(fields.read("interferometer", _Fields)))
+    unitary = mp.UnitaryMatrix(_interferometer(fields.read("interferometer", _Fields)))
     m = unitary.dim
     records = fields.read("sources", _records)
     if broadcast and len(records) == 1:
@@ -212,7 +193,7 @@ def _quantum_setup(fields: _Fields, broadcast: bool = False) -> QuantumSetup:
     det_cfg = fields.read("detectors", default="all")
     detectors = None if det_cfg == "all" else tuple(_integer(d) for d in det_cfg)
     energy = fields.read("energy_scale", _real, 1.0)
-    setup = QuantumSetup(unitary, stats, detectors=detectors, energy_scale=energy)
+    setup = mp.QuantumSetup(unitary, stats, detectors=detectors, energy_scale=energy)
     fields["detectors"] = list(setup.detectors)
     return setup
 
@@ -222,17 +203,21 @@ def _run_engine(fields: _Fields) -> tuple[dict, list[str]]:
     mode = fields["mode"]
     setup = (_classical_setup if mode.startswith("classical") else _quantum_setup)(fields)
     if mode == "classical-mc":
+        from .report import DEFAULT_BATCHES
+
         shots = fields.read("shots", _integer)
         seed = fields.read("seed", _seed, 0)
         batches = fields.read("batches", _integer, DEFAULT_BATCHES)
-        rep = mc_estimate_gbar(setup, shots, seed, batches=batches)
+        rep = mp.mc_estimate_gbar(setup, shots, seed, batches=batches)
     elif mode == "oracle":
+        from .quantum_engine import DEFAULT_PHOTON_LIMIT, DEFAULT_PRUNE_TOL
+
         photon_limit = fields.read("photon_limit", _integer, DEFAULT_PHOTON_LIMIT)
         prune_tol = fields.read("prune_tol", _real, DEFAULT_PRUNE_TOL)
-        rep = oracle_gbar(setup, photon_limit=photon_limit, prune_tol=prune_tol)
+        rep = mp.oracle_gbar(setup, photon_limit=photon_limit, prune_tol=prune_tol)
     else:
-        rep = classical_gbar(setup)
-    n_sources = int(np.count_nonzero(setup.weights()[0] > 0))
+        rep = mp.classical_gbar(setup)
+    n_sources = int((setup.weights()[0] > 0).sum())
     n_detectors = len(rep.active_detectors)
     verdict = bounds.nonclassicality_witness(rep, n_sources, n_detectors)
     witness = {**verdict.to_dict(), "n_sources": n_sources, "n_detectors": n_detectors}
@@ -247,8 +232,8 @@ def _run_divisibility(fields: _Fields) -> tuple[dict, list[str]]:
     padded = fields["sources"]  # as read, so equal states compare equal however spelled
     if any(r != padded[0] for r in padded):
         raise PreconditionError("divisibility certification needs identical inputs")
-    shared_eta = eta(setup.stats[0])
-    rep = quantum_gbar(setup)
+    shared_eta = mp.eta(setup.stats[0])
+    rep = mp.quantum_gbar(setup)
     verdict = bounds.divisibility_witness(rep, setup.n_modes, shared_eta)
     results = {"correlations": rep.to_dict(), "eta": shared_eta, "witness": verdict.to_dict()}
     summary = [f"gbar = {rep.gbar:.12g} (eta = {shared_eta:.6g})", verdict.one_line()]
@@ -280,7 +265,7 @@ def _run_optimize(fields: _Fields) -> tuple[dict, list[str]]:
     n_detectors = fields.read("n_detectors", _integer)
     restarts = fields.read("restarts", _integer, 20)
     seed = fields.read("seed", _seed, 0)
-    result = multistart_minimize(n_sources, n_detectors, restarts=restarts, seed=seed)
+    result = mp.multistart_minimize(n_sources, n_detectors, restarts=restarts, seed=seed)
     value = result.value
     closed_form = bounds.classical_min(n_sources, n_detectors)
     results = {
@@ -319,11 +304,13 @@ def _run_witness(fields: _Fields) -> tuple[dict, list[str]]:
 
 
 def _run_ingest(fields: _Fields) -> tuple[dict, list[str]]:
-    records, rejected = read_shot_records(
+    from .report import DEFAULT_BATCHES
+
+    records, rejected = mp.read_shot_records(
         fields.read("records_file", _text), delimiter=fields.read("delimiter", _text, None)
     )
     batches = fields.read("batches", _integer, DEFAULT_BATCHES)
-    rep = correlation_report_from_records(records, batches=batches)
+    rep = mp.correlation_report_from_records(records, batches=batches)
     n_detectors = len(rep.active_detectors)
     n_sources = fields.read("n_sources", _integer, None)
     fields["n_sources_assumed"] = n_sources is None

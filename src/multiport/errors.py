@@ -1,8 +1,13 @@
-"""Exception types shared across the toolkit, and the argument checks that
-several modules make."""
+"""Exception types shared across the toolkit, and the argument checks and
+tolerances that several modules share. Standard library only, so that the
+thresholds and the witnesses run without numpy."""
 
 import math
 import numbers
+
+# Truncation may drop this much tail probability, or add this much eta; the
+# witnesses count margins within it as on the bound.
+TAIL_TOL = 1e-10
 
 
 class MultiportError(Exception):

@@ -15,16 +15,16 @@ from functools import cache
 import numpy as np
 
 from .errors import (
+    TAIL_TOL,
     InvalidStatisticsError,
     MatrixValidationError,
     TruncationError,
     UndefinedEtaError,
     check_integer,
+    check_real,
 )
 from .interferometer import as_complex_matrix
 
-# Constructors refuse to drop more tail probability, or add more eta, than this.
-TAIL_TOL = 1e-10
 # Probability vectors must sum to one within this tolerance.
 NORMALIZATION_TOL = 1e-12
 
@@ -113,7 +113,7 @@ def fock(n: int) -> PhotonStatistics:
 
 def coherent(mean: float, cutoff: int) -> PhotonStatistics:
     """Phase-averaged coherent state: Poisson statistics with the given mean."""
-    cutoff = check_integer(cutoff, "cutoff")
+    cutoff, mean = check_integer(cutoff, "cutoff"), check_real(mean, "mean")
     if not 0 <= mean < np.inf:
         raise InvalidStatisticsError("coherent mean must be finite and >= 0")
     if mean == 0:
@@ -126,7 +126,7 @@ def coherent(mean: float, cutoff: int) -> PhotonStatistics:
 
 def thermal(mean: float, cutoff: int) -> PhotonStatistics:
     """Thermal (Bose-Einstein) statistics: p(n) proportional to (mean/(1+mean))^n."""
-    cutoff = check_integer(cutoff, "cutoff")
+    cutoff, mean = check_integer(cutoff, "cutoff"), check_real(mean, "mean")
     if not 0 <= mean < np.inf:
         raise InvalidStatisticsError("thermal mean must be finite and >= 0")
     if mean == 0:
@@ -142,7 +142,7 @@ def squeezed_vacuum(r: float, cutoff: int) -> PhotonStatistics:
 
     p(2k) = tanh(r)^(2k) (2k)! / (4^k (k!)^2 cosh(r)).
     """
-    cutoff = check_integer(cutoff, "cutoff")
+    cutoff, r = check_integer(cutoff, "cutoff"), check_real(r, "r")
     if not 0 <= r < np.inf:
         raise InvalidStatisticsError("squeezing parameter must be finite and >= 0")
     if r == 0:
@@ -201,7 +201,7 @@ class ClassicalSource:
 
 def fixed_source(amplitude: float) -> ClassicalSource:
     """Source emitting a constant-magnitude field (no intensity fluctuations)."""
-    return ClassicalSource(np.array([1.0]), np.array([float(amplitude)]))
+    return ClassicalSource(np.array([1.0]), np.array([check_real(amplitude, "amplitude")]))
 
 
 # The most Gauss-Laguerre levels whose float64 weights are all finite.
@@ -222,6 +222,7 @@ def pseudo_thermal_source(mean_intensity: float, levels: int = 32) -> ClassicalS
     (in particular <I^2> = 2 <I>^2). At most ``MAX_LEVELS`` levels.
     """
     levels = check_integer(levels, "levels")  # 32.0 must not hit 32's cache entry
+    mean_intensity = check_real(mean_intensity, "mean_intensity")
     if not 0 <= mean_intensity < np.inf:
         raise InvalidStatisticsError("mean intensity must be finite and >= 0")
     if levels < 2:

@@ -69,6 +69,44 @@ def test_a_numpy_integer_count_gives_the_same_result(function, arguments, name):
     assert pickle.dumps(numpy_count) == pickle.dumps(function(**arguments))
 
 
+# Every public real of the source laws, the thresholds and the witnesses, as
+# (function, arguments, the real's name); each value is exact in float32.
+REALS = [
+    (coherent, {"mean": 0.5, "cutoff": 40}, "mean"),
+    (thermal, {"mean": 0.5, "cutoff": 80}, "mean"),
+    (squeezed_vacuum, {"r": 0.25, "cutoff": 60}, "r"),
+    (pseudo_thermal_source, {"mean_intensity": 1.5, "levels": 8}, "mean_intensity"),
+    (fixed_source, {"amplitude": 1.5}, "amplitude"),
+    (symmetric_quantum_min, {"n_detectors": 4, "eta": 0.5}, "eta"),
+    (divisibility_threshold, {"n_modes": 4, "eta": 0.5}, "eta"),
+    (nonclassicality_witness, {"gbar": 0.375, "n_sources": 2, "n_detectors": 2}, "gbar"),
+    (nonclassicality_witness, {"gbar": 0.375, "n_sources": 2, "n_detectors": 2, "stderr": 0.03125}, "stderr"),
+    (divisibility_witness, {"gbar": 0.5, "n_modes": 4, "eta": 1.0}, "gbar"),
+    (divisibility_witness, {"gbar": 0.5, "n_modes": 4, "eta": 1.0}, "eta"),
+    (divisibility_witness, {"gbar": 0.5, "n_modes": 4, "eta": 1.0, "stderr": 0.03125}, "stderr"),
+]
+REAL_IDS = [f"{function.__name__}-{name}" for function, _, name in REALS]
+
+
+@pytest.mark.parametrize("function, arguments, name", REALS, ids=REAL_IDS)
+@pytest.mark.parametrize("real", [True, np.True_, "0.3", [0.3], 1j], ids=repr)
+def test_a_real_is_a_real_number_and_never_a_bool_or_string(function, arguments, name, real):
+    # symmetric_quantum_min(4, True) read eta = 1, stderr=True was judged as a
+    # stderr of 1, fixed_source('1') built amplitude 1, and a string gbar, eta
+    # or mean raised a bare TypeError
+    with pytest.raises(PreconditionError, match=f"{name} must be a real number"):
+        function(**{**arguments, name: real})
+
+
+@pytest.mark.parametrize("function, arguments, name", REALS, ids=REAL_IDS)
+@pytest.mark.parametrize("kind", [np.float64, np.float32, int])
+def test_a_numpy_or_integer_real_gives_the_same_result(function, arguments, name, kind):
+    if kind is int:
+        arguments = {**arguments, name: float(int(arguments[name]))}
+    converted = function(**{**arguments, name: kind(arguments[name])})
+    assert pickle.dumps(converted) == pickle.dumps(function(**arguments))
+
+
 def test_a_fractional_source_count_never_certifies():
     # N = 1.5 read as the threshold 0.667, which 0.55 is below; N = 2 gives 0.5
     with pytest.raises(PreconditionError, match="n_sources must be an integer"):
